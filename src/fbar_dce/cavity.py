@@ -6,21 +6,23 @@ adds an effective length l_eff, so the round-trip phase is set by
 d_eff = length_d + l_eff. This module provides the input-output transfer
 matrix of the coupling element, propagation to the mirror plane, the cavity
 reflection coefficient, the internal mode response, a guaranteed-bracketing
-resonance solver, and the dressed scattering coefficients consumed by the
-flux assembly.
+resonance solver, and `dressed_coefficients`: the one evaluation of the
+cavity-dressed R, S1, S2 and h over a frequency array that the flux assembly
+consumes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .constants import TWO_PI
 from .errors import ConfigError, ConvergenceError, UnderflowError
-from .scatter import LineParams, SourceConfig, h_coefficient, s_coefficient
+from .scatter import LineParams, SourceConfig, TimeVaryingCap, h_coefficient, s_coefficient
 
 _MAX_REFINE_ITERATIONS = 200
 _RESIDUAL_RTOL = 1e-9  # on |tan(k*d_eff) - omega_c/omega| relative to omega_c/omega
@@ -38,15 +40,14 @@ class CavityParams:
 
     length_d: float
     v_light: float
-    z0: float
     omega_coupling: float
     l_eff: float
     d_eff: float = field(init=False)
     omega_0: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.length_d > 0.0 and self.v_light > 0.0 and self.z0 > 0.0):
-            raise ConfigError("cavity.length_d, v_light and z0 must be strictly positive")
+        if not (self.length_d > 0.0 and self.v_light > 0.0):
+            raise ConfigError("cavity.length_d and v_light must be strictly positive")
         if not self.omega_coupling > 0.0:
             raise ConfigError("cavity.omega_coupling must be strictly positive")
         if self.l_eff < 0.0:
@@ -55,21 +56,14 @@ class CavityParams:
         object.__setattr__(self, "omega_0", TWO_PI * self.v_light / self.d_eff)
 
 
-@dataclass(frozen=True)
-class ScatterSet:
-    """Dressed per-frequency coefficients; the reflection must be unimodular."""
+class DressedCoefficients(NamedTuple):
+    """Cavity-dressed coefficients, one entry per observation frequency."""
 
-    omega: float
-    r_res: complex
-    s1_res: complex
-    s2_res: complex
-    h_res: complex
-
-    def __post_init__(self):
-        if abs(abs(self.r_res) - 1.0) > 1e-10:
-            raise UnderflowError(
-                f"lossless-reflection invariant violated: |r_res| = {abs(self.r_res)!r}"
-            )
+    r_res: np.ndarray
+    s1_res: np.ndarray
+    s2_res: np.ndarray
+    h_res: np.ndarray
+    h_res_static: np.ndarray  # h_res with the modulation removed (delta_c = 0)
 
 
 def inout_transfer(omega: float, omega_coupling: float) -> np.ndarray:
@@ -117,6 +111,16 @@ def _denominator(omega, cav: CavityParams):
     return den
 
 
+def _reflection(w, den, cav: CavityParams):
+    """Reflection e^{2ikd_eff} * conj(den)/den over a precomputed denominator."""
+    return np.exp(2j * w * cav.d_eff / cav.v_light) * (np.conj(den) / den)
+
+
+def _mode(w, den, cav: CavityParams):
+    """Mode response (2i*omega/omega_c) e^{ikd_eff} / den over a precomputed denominator."""
+    return (2j * w / cav.omega_coupling) * np.exp(1j * w * cav.d_eff / cav.v_light) / den
+
+
 def reflection_coefficient(omega, cav: CavityParams):
     """Cavity reflection coefficient; unimodular for the lossless cavity.
 
@@ -127,8 +131,7 @@ def reflection_coefficient(omega, cav: CavityParams):
     w = np.asarray(omega, dtype=float)
     if np.any(w <= 0.0):
         raise ConfigError("omega must be strictly positive")
-    den = _denominator(w, cav)
-    result = np.exp(2j * w * cav.d_eff / cav.v_light) * (np.conj(den) / den)
+    result = _reflection(w, _denominator(w, cav), cav)
     return complex(result) if np.ndim(omega) == 0 else result
 
 
@@ -141,8 +144,7 @@ def mode_response(omega, cav: CavityParams):
     w = np.asarray(omega, dtype=float)
     if np.any(w <= 0.0):
         raise ConfigError("omega must be strictly positive")
-    num = (2j * w / cav.omega_coupling) * np.exp(1j * w * cav.d_eff / cav.v_light)
-    result = num / _denominator(w, cav)
+    result = _mode(w, _denominator(w, cav), cav)
     return complex(result) if np.ndim(omega) == 0 else result
 
 
@@ -214,24 +216,36 @@ def resonance_residual(omega: float, cav: CavityParams) -> float:
 
 
 def dressed_coefficients(
-    omega: float, cav: CavityParams, cfg: SourceConfig, line: LineParams
-) -> ScatterSet:
-    """Cavity-dressed coefficient set at 0 < omega < modulation frequency.
+    omega, cav: CavityParams, cfg: SourceConfig, line: LineParams
+) -> DressedCoefficients:
+    """Cavity-dressed coefficients over frequencies 0 < omega < modulation frequency.
 
+    The cavity denominator at omega is evaluated once and shared by the
+    reflection, the self-frequency mode response and both drive-sourced terms.
     The upper-sideband mixing amplitude is dressed by the mode response at
-    both frequencies, the lower sideband by the conjugated response at omega,
-    and the drive-sourced term by the inverse cavity denominator.
+    omega and omega_m + omega, the lower sideband by the conjugated response
+    at omega and the response at omega_m - omega, and the drive-sourced term
+    (with and without the capacitance modulation) by the inverse denominator.
+    Raises UnderflowError when ||R| - 1| > 1e-10 (the lossless-cavity invariant).
     """
+    w = np.asarray(omega, dtype=float)
     om = cfg.cap.omega_m
-    if not 0.0 < omega < om:
+    if np.any(w <= 0.0) or np.any(w >= om):
         raise ConfigError("dressed_coefficients requires 0 < omega < modulation frequency")
-    a_self = mode_response(omega, cav)
-    r_res = reflection_coefficient(omega, cav)
-    s1 = s_coefficient(cfg.cap.delta_c, line.z0, omega, om + omega) * a_self * mode_response(om + omega, cav)
-    s2 = s_coefficient(cfg.cap.delta_c, line.z0, omega, om - omega)
-    if s2 != 0.0:
-        s2 = s2 * np.conj(a_self) * mode_response(om - omega, cav)
-    h = 0.0 + 0.0j
-    if cfg.drive.v_pp != 0.0:
-        h = h_coefficient(omega, cfg, line) / _denominator(omega, cav)
-    return ScatterSet(omega=omega, r_res=complex(r_res), s1_res=complex(s1), s2_res=complex(s2), h_res=complex(h))
+    den = _denominator(w, cav)
+    r = _reflection(w, den, cav)
+    defect = np.abs(np.abs(r) - 1.0)
+    if not np.all(defect <= 1e-10):  # NaN fails too
+        raise UnderflowError(
+            f"lossless-reflection invariant violated: max ||R| - 1| = {np.max(defect)!r}"
+        )
+    a_self = _mode(w, den, cav)
+    s1 = s_coefficient(cfg.cap.delta_c, line.z0, w, om + w) * a_self * mode_response(om + w, cav)
+    s2 = s_coefficient(cfg.cap.delta_c, line.z0, w, om - w) * np.conj(a_self) * mode_response(om - w, cav)
+    if cfg.drive.v_pp == 0.0:
+        h = h_static = np.zeros_like(w, dtype=complex)
+    else:
+        static = replace(cfg, cap=TimeVaryingCap(cfg.cap.c0, 0.0, om))
+        h = h_coefficient(w, cfg, line) / den
+        h_static = h_coefficient(w, static, line) / den
+    return DressedCoefficients(r, s1, s2, h, h_static)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import copy
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -84,28 +83,8 @@ def _apply_overrides(sc: Scenario, points: int | None, window_time: float | None
     return scenario_from_raw(raw)
 
 
-def _spectrum_table(sc: Scenario, threads: int) -> flux.SpectrumTable:
-    grid = grid_array(sc)
-    cfg = source_config(sc)
-    if threads <= 1 or len(grid) < 4 * threads:
-        return flux.output_spectrum(grid, sc.cavity, cfg, sc.line, sc.env)
-    chunks = np.array_split(grid, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        tables = list(
-            pool.map(lambda g: flux.output_spectrum(g, sc.cavity, cfg, sc.line, sc.env), chunks)
-        )
-    return flux.SpectrumTable(
-        omega=np.concatenate([t.omega for t in tables]),
-        n_total=np.concatenate([t.n_total for t in tables]),
-        n_dce=np.concatenate([t.n_dce for t in tables]),
-        n_thermal=np.concatenate([t.n_thermal for t in tables]),
-        n_mech_only=np.concatenate([t.n_mech_only for t in tables]),
-        flags=tuple(f for t in tables for f in t.flags),
-    )
-
-
 def _run_spectrum(sc: Scenario, args, include_electrical: bool) -> None:
-    table = _spectrum_table(sc, args.threads)
+    table = flux.output_spectrum(grid_array(sc), sc.cavity, source_config(sc), sc.line, sc.env)
     om = sc.geometry.omega_m
     columns = ["omega_over_omega_m", "n_total", "n_dce", "n_thermal", "n_mech_only"]
     if include_electrical:
@@ -272,7 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default="-", help="output CSV path, or - for stdout")
         cmd.add_argument("--points", type=int, default=None, help="override grid point count")
         cmd.add_argument("--window-time", type=float, default=None, help="override window length [s]")
-        cmd.add_argument("--threads", type=int, default=1, help="worker threads for row evaluation")
         if name == "sweep":
             cmd.add_argument("--axis", required=True, choices=_SWEEP_AXES)
             cmd.add_argument("--values", required=True, help="comma-separated positive values")
@@ -299,8 +277,6 @@ def main(argv=None) -> int:
     try:
         sc = load_scenario(args.scenario)
         sc = _apply_overrides(sc, args.points, args.window_time)
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         if args.command == "spectrum":
             _run_spectrum(sc, args, include_electrical=False)
         elif args.command == "decompose":

@@ -10,22 +10,24 @@ zero temperature; n_thermal collects the occupation-driven terms, and
 n_mech_only is the flux lost when the mechanical modulation is removed
 (delta_c = 0) while the voltage source stays connected.
 
-The S-type terms are window-independent occupation densities; the h term uses
-the steady (window-independent) part of the source spectrum, with the coherent
-drive lines accounted separately via scatter.line_weights.
+All five coefficient magnitudes come from one call of
+cavity.dressed_coefficients per spectrum. The S-type terms are
+window-independent occupation densities; the h term uses the steady
+(window-independent) part of the source spectrum, with the coherent drive
+lines accounted separately via scatter.line_weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import CavityParams, _denominator, mode_response, reflection_coefficient
+from .cavity import CavityParams, dressed_coefficients, mode_response
 from .constants import HBAR, K_B
 from .errors import ConfigError, NumericalError
-from .scatter import LineParams, SourceConfig, TimeVaryingCap, h_coefficient, s_coefficient
+from .scatter import LineParams, SourceConfig, h_coefficient, s_coefficient
 
 _NEGATIVE_ROUNDOFF_FLOOR = -1e-15
 
@@ -102,19 +104,6 @@ def _resolve_guard_collisions(grid: np.ndarray, cfg: SourceConfig) -> tuple[np.n
     return out, flags
 
 
-def _dce_terms(grid: np.ndarray, cav: CavityParams, cfg: SourceConfig, line: LineParams):
-    """|S1|^2, |S2|^2, |h_res|^2 over the grid (vacuum-relevant magnitudes)."""
-    om = cfg.cap.omega_m
-    a_self = mode_response(grid, cav)
-    s1 = s_coefficient(cfg.cap.delta_c, line.z0, grid, om + grid) * a_self * mode_response(om + grid, cav)
-    s2 = s_coefficient(cfg.cap.delta_c, line.z0, grid, om - grid) * np.conj(a_self) * mode_response(om - grid, cav)
-    if cfg.drive.v_pp == 0.0:
-        h = np.zeros_like(grid, dtype=complex)
-    else:
-        h = h_coefficient(grid, cfg, line) / _denominator(grid, cav)
-    return np.abs(s1) ** 2, np.abs(s2) ** 2, np.abs(h) ** 2
-
-
 def output_spectrum(
     grid, cav: CavityParams, cfg: SourceConfig, line: LineParams, env: ThermalEnv
 ) -> SpectrumTable:
@@ -122,8 +111,8 @@ def output_spectrum(
 
     Grid points that collide with a coherent-line guard band are shifted
     outward by one grid step and flagged "guard-shifted"; points that cannot
-    be moved clear are flagged "guard-band" and evaluated without the h term
-    (reported as NaN contributions).
+    be moved clear are flagged "guard-band" and are not evaluated (NaN in
+    every occupation column).
     """
     w = np.asarray(grid, dtype=float)
     om = cfg.cap.omega_m
@@ -134,30 +123,25 @@ def output_spectrum(
     if w[0] <= 0.0 or w[-1] >= om:
         raise ConfigError("grid must lie strictly inside (0, modulation frequency)")
     w, flags = _resolve_guard_collisions(w, cfg)
-    blocked = np.array([f == "guard-band" for f in flags])
+    live = np.array([f != "guard-band" for f in flags])
+    # |R|^2, |S1|^2, |S2|^2, |h_res|^2 and the delta_c = 0 |h_res|^2; NaN on guard-band rows
+    r_sq, s1_sq, s2_sq, h_sq, h_static_sq = np.full((5, len(w)), np.nan)
+    if np.any(live):
+        r_sq[live], s1_sq[live], s2_sq[live], h_sq[live], h_static_sq[live] = (
+            np.abs(c) ** 2 for c in dressed_coefficients(w[live], cav, cfg, line)
+        )
 
-    s1_sq, s2_sq, h_sq = _dce_terms(w[~blocked], cav, cfg, line) if np.any(~blocked) else (0, 0, 0)
-    full_s1 = np.full_like(w, np.nan)
-    full_s2 = np.full_like(w, np.nan)
-    full_h = np.full_like(w, np.nan)
-    full_s1[~blocked], full_s2[~blocked], full_h[~blocked] = s1_sq, s2_sq, h_sq
-
-    r_sq = np.abs(reflection_coefficient(w, cav)) ** 2
     n_in = thermal_occupation(w, env)
     n_in_up = thermal_occupation(om + w, env)
     n_in_down = thermal_occupation(om - w, env)
 
-    n_thermal = r_sq * n_in + full_s1 * n_in_up + full_s2 * n_in_down
-    n_dce = full_s2 + full_h
-    n_total = r_sq * n_in + full_s1 * n_in_up + full_s2 * (1.0 + n_in_down) + full_h
+    n_thermal = r_sq * n_in + s1_sq * n_in_up + s2_sq * n_in_down
+    n_dce = s2_sq + h_sq
+    n_total = r_sq * n_in + s1_sq * n_in_up + s2_sq * (1.0 + n_in_down) + h_sq
 
     # removed-modulation reference: delta_c = 0, source still connected
-    cfg_nopiezo = replace(cfg, cap=TimeVaryingCap(cfg.cap.c0, 0.0, cfg.cap.omega_m))
-    _, _, h_sq_nopiezo = _dce_terms(w[~blocked], cav, cfg_nopiezo, line) if np.any(~blocked) else (0, 0, 0)
-    full_h_nopiezo = np.full_like(w, np.nan)
-    full_h_nopiezo[~blocked] = h_sq_nopiezo
-    n_mech_only = n_dce - full_h_nopiezo
-    bad = n_mech_only[~blocked] < _NEGATIVE_ROUNDOFF_FLOOR
+    n_mech_only = n_dce - h_static_sq
+    bad = n_mech_only[live] < _NEGATIVE_ROUNDOFF_FLOOR
     if np.any(bad):
         raise NumericalError(
             f"mechanical-only flux negative beyond round-off at {int(np.sum(bad))} grid points"
@@ -172,18 +156,6 @@ def output_spectrum(
         n_mech_only=n_mech_only,
         flags=tuple(flags),
     )
-
-
-def decompose_mech_electrical(
-    grid, cav: CavityParams, cfg: SourceConfig, line: LineParams, env: ThermalEnv
-) -> SpectrumTable:
-    """Spectrum with the mechanical/electrical split of the vacuum-sourced flux.
-
-    n_mech_only is the difference between the full vacuum-sourced flux and the
-    flux of the same circuit with the capacitance modulation removed
-    (delta_c = 0) while the voltage source stays connected.
-    """
-    return output_spectrum(grid, cav, cfg, line, env)
 
 
 def impedance_scaling_check(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -97,15 +96,6 @@ class SourceConfig:
     def guard_band(self) -> float:
         """Half-width [rad/s] of the line-dominated neighborhood of each tone."""
         return 100.0 / self.window_time
-
-
-class BareOutput(NamedTuple):
-    """Bare mirror coefficients at observation frequency omega."""
-
-    elastic: complex  # amplitude multiplying the same-frequency input
-    s_upper: complex  # mixing with the input at omega_m + omega
-    s_lower: complex  # mixing with the conjugate input at omega_m - omega
-    h: complex  # drive-sourced amplitude
 
 
 def capacitance_at(cap: TimeVaryingCap, t):
@@ -245,41 +235,10 @@ def line_weights(cfg: SourceConfig) -> dict[float, complex]:
     }
 
 
-def h_coefficient(omega, cfg: SourceConfig, line: LineParams, part: str = "steady"):
-    """Drive-sourced emission amplitude -i * sqrt(4*pi*z0/(hbar*omega)) * spectrum.
-
-    `part` selects the spectral component: "steady" (default; consumed by the
-    flux assembly) or "windowed" (full finite-window transform, used for
-    oracle comparisons).
-    """
+def h_coefficient(omega, cfg: SourceConfig, line: LineParams):
+    """Drive-sourced emission amplitude -i * sqrt(4*pi*z0/(hbar*omega)) * source_spectrum."""
     w = np.asarray(omega, dtype=float)
     if np.any(w <= 0.0):
         raise ConfigError("omega must be strictly positive")
-    if part == "steady":
-        density = source_spectrum(cfg, omega)
-    elif part == "windowed":
-        density = windowed_source_transform(cfg, omega)
-    else:
-        raise ConfigError(f"unknown spectral part {part!r}")
-    result = -1j * np.sqrt(4.0 * math.pi * line.z0 / (HBAR * w)) * density
+    result = -1j * np.sqrt(4.0 * math.pi * line.z0 / (HBAR * w)) * source_spectrum(cfg, omega)
     return complex(result) if np.ndim(omega) == 0 else result
-
-
-def single_mirror_output(omega: float, cfg: SourceConfig, line: LineParams) -> BareOutput:
-    """Bare output coefficients (elastic, s_upper, s_lower, h) at 0 < omega <= omega_m.
-
-    elastic multiplies the input at omega, s_upper the input at omega_m+omega,
-    s_lower the conjugated input at omega_m-omega, and h is the drive-sourced
-    term. The s_lower edge at omega = omega_m vanishes by the theta(0) = 0
-    convention.
-    """
-    if not 0.0 < omega <= cfg.cap.omega_m:
-        raise ConfigError("single_mirror_output requires 0 < omega <= modulation frequency")
-    dc, z0, om = cfg.cap.delta_c, line.z0, cfg.cap.omega_m
-    h = 0.0 + 0.0j if cfg.drive.v_pp == 0.0 else h_coefficient(omega, cfg, line)
-    return BareOutput(
-        elastic=1.0 + 0.0j,
-        s_upper=s_coefficient(dc, z0, omega, om + omega),
-        s_lower=s_coefficient(dc, z0, omega, om - omega),
-        h=h,
-    )

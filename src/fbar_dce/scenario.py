@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,13 +129,19 @@ class Scenario:
     raw: dict
 
 
-def _require_number(raw: dict, section: str, key: str) -> float:
+def _require_number(raw: dict, key: str, label: str) -> float:
     if key not in raw:
-        raise ConfigError(f"missing field: {section}.{key}")
+        raise ConfigError(f"missing field: {label}")
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field {section}.{key} must be a number")
-    return float(value)
+        raise ConfigError(f"field {label} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"field {label} must be finite")
+    return number
 
 
 def _validate_shape(raw: dict) -> None:
@@ -156,17 +163,14 @@ def _validate_shape(raw: dict) -> None:
         raise ConfigError("missing field: name")
     if not isinstance(raw["name"], str):
         raise ConfigError("field name must be a string")
-    if "window_time_s" not in raw:
-        raise ConfigError("missing field: window_time_s")
-    if isinstance(raw["window_time_s"], bool) or not isinstance(raw["window_time_s"], (int, float)):
-        raise ConfigError("field window_time_s must be a number")
+    _require_number(raw, "window_time_s", "window_time_s")
 
 
 def scenario_from_raw(raw: dict) -> Scenario:
     """Validate a raw mapping and assemble the typed scenario."""
     _validate_shape(raw)
     num = {
-        section: {key: _require_number(raw[section], section, key) for key in keys}
+        section: {key: _require_number(raw[section], key, f"{section}.{key}") for key in keys}
         for section, keys in _NUMBER_SCHEMA.items()
     }
     material = MaterialProps(
@@ -196,11 +200,13 @@ def scenario_from_raw(raw: dict) -> Scenario:
         r_s=num["mbvd"]["r_s_ohm"],
         c_plate=num["mbvd"]["c_plate_farad"],
     )
+    for key in ("z0_ohm", "v_light_m_s"):
+        if num["cavity"][key] != num["line"][key]:
+            raise ConfigError(f"cavity.{key} must equal line.{key}")
     line = LineParams(z0=num["line"]["z0_ohm"], v_light=num["line"]["v_light_m_s"])
     cavity = CavityParams(
         length_d=num["cavity"]["length_d_m"],
         v_light=num["cavity"]["v_light_m_s"],
-        z0=num["cavity"]["z0_ohm"],
         omega_coupling=TWO_PI * num["cavity"]["omega_coupling_hz"],
         l_eff=effective_length(mbvd.c_plate, line),
     )

@@ -16,7 +16,6 @@ from fbar_dce.constants import TWO_PI
 from fbar_dce.errors import ConfigError, ConvergenceError, UnderflowError
 from fbar_dce.cavity import (
     CavityParams,
-    ScatterSet,
     cavity_resonances,
     dressed_coefficients,
     inout_transfer,
@@ -37,7 +36,7 @@ from fbar_dce.scatter import (
 
 OMEGA_M = 2.0 * math.pi * 4.2e9
 OMEGA_C = 2.0 * math.pi * 29.1e9
-CAV = CavityParams(length_d=3.3e-2, v_light=1.0e8, z0=55.0, omega_coupling=OMEGA_C, l_eff=2.2e-3)
+CAV = CavityParams(length_d=3.3e-2, v_light=1.0e8, omega_coupling=OMEGA_C, l_eff=2.2e-3)
 LINE = LineParams(z0=55.0, v_light=1.0e8)
 DELTA_C = 9.772533550193697e-19
 CAP = TimeVaryingCap(c0=0.4e-12, delta_c=DELTA_C, omega_m=OMEGA_M)
@@ -91,7 +90,7 @@ def test_propagate_properties():
     full_turn = propagate(CAV.omega_0, CAV)
     assert full_turn[0, 0] == pytest.approx(1.0, abs=1e-12)
     # the zero-length limit also degenerates to the identity
-    short = CavityParams(length_d=1e-12, v_light=1.0e8, z0=55.0, omega_coupling=OMEGA_C, l_eff=0.0)
+    short = CavityParams(length_d=1e-12, v_light=1.0e8, omega_coupling=OMEGA_C, l_eff=0.0)
     assert propagate(1e3, short)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -235,7 +234,7 @@ def test_dressed_coefficients_static_mirror():
     )
     out = dressed_coefficients(0.5 * OMEGA_M, CAV, quiet, LINE)
     assert abs(abs(out.r_res) - 1.0) < 1e-10
-    assert out.s1_res == 0.0 and out.s2_res == 0.0 and out.h_res == 0.0
+    assert out.s1_res == 0.0 and out.s2_res == 0.0 and out.h_res == 0.0 and out.h_res_static == 0.0
 
 
 def test_dressed_coefficients_compositional_oracle():
@@ -267,6 +266,9 @@ def test_dressed_coefficients_h_term():
     den = (1.0 - 2j * half / OMEGA_C) + np.exp(2j * half * CAV.d_eff / CAV.v_light)
     assert out.h_res * den == pytest.approx(h_coefficient(half, CFG, LINE), rel=1e-12)
     assert abs(out.h_res) ** 2 == pytest.approx(0.008461875232374435, rel=1e-10)
+    # the delta_c = 0 reference: the unmodulated mirror over the same denominator
+    static = replace(CFG, cap=TimeVaryingCap(c0=0.4e-12, delta_c=0.0, omega_m=OMEGA_M))
+    assert out.h_res_static * den == pytest.approx(h_coefficient(half, static, LINE), rel=1e-12)
 
 
 def test_dressed_coefficients_linearities():
@@ -288,15 +290,31 @@ def test_dressed_coefficients_domain():
             dressed_coefficients(bad, CAV, CFG, LINE)
 
 
-def test_scatter_set_unimodularity_enforced():
-    with pytest.raises(UnderflowError):
-        ScatterSet(omega=1.0, r_res=0.5 + 0.0j, s1_res=0.0j, s2_res=0.0j, h_res=0.0j)
+def test_dressed_coefficients_array_matches_pointwise():
+    # one call over an array gives, entry by entry, the single-point values
+    # (numpy's scalar and array complex arithmetic may differ in the last bit)
+    grid = np.linspace(0.05, 0.95, 9) * OMEGA_M
+    arrays = dressed_coefficients(grid, CAV, CFG, LINE)
+    for i, w in enumerate(grid):
+        point = dressed_coefficients(w, CAV, CFG, LINE)
+        for a, p in zip(arrays, point):
+            assert a[i] == pytest.approx(p, rel=1e-14, abs=0.0)
+    assert np.max(np.abs(np.abs(arrays.r_res) - 1.0)) < 1e-10
+    assert np.array_equal(arrays.r_res, reflection_coefficient(grid, CAV))
+
+
+def test_dressed_coefficients_unimodularity_enforced():
+    # a cavity whose round-trip phase overflows gives a NaN reflection; the
+    # production check refuses it instead of passing NaN rows on
+    broken = replace(CAV, v_light=1e-300)
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(UnderflowError):
+        dressed_coefficients(0.5 * OMEGA_M, broken, CFG, LINE)
 
 
 def test_cavity_params_validation():
     with pytest.raises(ConfigError):
-        CavityParams(length_d=0.0, v_light=1.0e8, z0=55.0, omega_coupling=OMEGA_C, l_eff=2.2e-3)
+        CavityParams(length_d=0.0, v_light=1.0e8, omega_coupling=OMEGA_C, l_eff=2.2e-3)
     with pytest.raises(ConfigError):
-        CavityParams(length_d=3.3e-2, v_light=1.0e8, z0=55.0, omega_coupling=0.0, l_eff=2.2e-3)
+        CavityParams(length_d=3.3e-2, v_light=1.0e8, omega_coupling=0.0, l_eff=2.2e-3)
     with pytest.raises(ConfigError):
-        CavityParams(length_d=3.3e-2, v_light=1.0e8, z0=55.0, omega_coupling=OMEGA_C, l_eff=-1e-3)
+        CavityParams(length_d=3.3e-2, v_light=1.0e8, omega_coupling=OMEGA_C, l_eff=-1e-3)

@@ -19,7 +19,6 @@ from fbar_dce.constants import HBAR, K_B, TWO_PI
 from fbar_dce.errors import ConfigError, NumericalError
 from fbar_dce.flux import (
     ThermalEnv,
-    decompose_mech_electrical,
     impedance_scaling_check,
     output_spectrum,
     resonant_rate_scaling,
@@ -34,7 +33,6 @@ DELTA_C = 9.772533550193697e-19
 CAV = CavityParams(
     length_d=3.3e-2,
     v_light=1e8,
-    z0=55.0,
     omega_coupling=TWO_PI * 29.1e9,
     l_eff=2.2e-3,
 )
@@ -226,15 +224,6 @@ def test_grid_validation():
         output_spectrum(np.array([0.0, 0.5 * OMEGA_M]), CAV, CFG, LINE, ENV)
     with pytest.raises(ConfigError):
         output_spectrum(np.array([0.5, 1.0]) * OMEGA_M, CAV, CFG, LINE, ENV)
-
-
-def test_decompose_matches_spectrum():
-    grid = np.linspace(0.1, 0.8, 5) * OMEGA_M
-    a = output_spectrum(grid, CAV, CFG, LINE, ENV)
-    b = decompose_mech_electrical(grid, CAV, CFG, LINE, ENV)
-    for name in ("omega", "n_total", "n_dce", "n_thermal", "n_mech_only"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
-    assert a.flags == b.flags
 
 
 def test_impedance_scaling_factor_one_is_identity():

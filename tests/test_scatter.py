@@ -24,7 +24,6 @@ from fbar_dce.scatter import (
     h_coefficient,
     line_weights,
     s_coefficient,
-    single_mirror_output,
     source_spectrum,
     source_time,
     windowed_source_transform,
@@ -168,15 +167,6 @@ def test_windowed_transform_against_fft_oracle_full_modulation():
         assert abs(closed - oracle[k]) <= 1e-6 * abs(oracle[k])
 
 
-def test_h_coefficient_windowed_matches_fft_pipeline():
-    cfg = replace(CFG, window_time=4.7e-8)
-    omegas, oracle = _fft_transform_oracle(cfg, 2**20)
-    k = 105
-    expected = -1j * math.sqrt(4.0 * math.pi * LINE.z0 / (HBAR * omegas[k])) * oracle[k]
-    h = h_coefficient(omegas[k], cfg, LINE, part="windowed")
-    assert abs(h - expected) <= 1e-6 * abs(expected)
-
-
 def test_steady_part_is_window_average_of_turn_on_transform():
     # averaging the windowed transform over one beat period of T removes the
     # oscillatory boundary terms exactly when the tone offsets are commensurate
@@ -248,47 +238,6 @@ def test_h_coefficient_frequency_factorization():
     c2 = h_coefficient(w2, CFG, LINE) * math.sqrt(w2) / source_spectrum(CFG, w2)
     assert c1 == pytest.approx(c2, rel=1e-12)
     assert c1 == pytest.approx(-1j * math.sqrt(4.0 * math.pi * LINE.z0 / HBAR), rel=1e-12)
-
-
-def test_h_coefficient_rejects_unknown_part():
-    with pytest.raises(ConfigError):
-        h_coefficient(0.5 * OMEGA_M, CFG, LINE, part="instantaneous")
-
-
-def test_single_mirror_output_static_passthrough():
-    cfg = SourceConfig(
-        drive=DriveParams(v_pp=0.0, omega_d=OMEGA_M),
-        cap=TimeVaryingCap(c0=0.4e-12, delta_c=0.0, omega_m=OMEGA_M),
-        window_time=1.0e-6,
-    )
-    out = single_mirror_output(0.5 * OMEGA_M, cfg, LINE)
-    assert out == (1.0, 0.0, 0.0, 0.0)
-
-
-def test_single_mirror_output_edge_frequency():
-    # at omega = omega_m the down-mixing edge dies by the theta(0) = 0
-    # convention; with the drive on, the same point sits on a coherent line
-    # and the h evaluation refuses it
-    quiet = replace(CFG, drive=DriveParams(v_pp=0.0, omega_d=OMEGA_M))
-    out = single_mirror_output(OMEGA_M, quiet, LINE)
-    assert out.s_lower == 0.0
-    assert out.s_upper != 0.0
-    with pytest.raises(GuardBandError):
-        single_mirror_output(OMEGA_M, CFG, LINE)
-
-
-def test_single_mirror_output_symmetry_point():
-    out = single_mirror_output(0.5 * OMEGA_M, CFG, LINE)
-    half = 0.5 * OMEGA_M
-    assert out.s_lower == s_coefficient(DELTA_C, 55.0, OMEGA_M - half, half)
-    assert abs(out.s_lower) == pytest.approx(DELTA_C * 55.0 * half, rel=1e-12)
-    assert out.elastic == 1.0
-
-
-def test_single_mirror_output_rejects_out_of_band():
-    for bad in (0.0, -1.0, 1.01 * OMEGA_M):
-        with pytest.raises(ConfigError):
-            single_mirror_output(bad, CFG, LINE)
 
 
 def test_source_config_window_floor():

@@ -61,7 +61,7 @@ def test_metamaterial_preset():
     sc = load_scenario("metamaterial")
     assert sc.line.z0 == 1e4
     assert sc.line.v_light == 5.5e5
-    assert sc.cavity.z0 == 1e4
+    assert sc.cavity.v_light == 5.5e5
     assert sc.cavity.omega_coupling == pytest.approx(TWO_PI * 1.6005e8, rel=1e-12)
     # Same capacitance density as the coax line, so the plate capacitance
     # still shortens the cavity by the same effective length.
@@ -178,6 +178,15 @@ def test_window_time_floor_enforced():
     raw = preset_raw("low-q")
     raw["window_time_s"] = 1e-9  # a handful of modulation periods
     with pytest.raises(ConfigError, match="window_time"):
+        scenario_from_raw(raw)
+
+
+@pytest.mark.parametrize("key,value", [("z0_ohm", 999.0), ("v_light_m_s", 2e8)])
+def test_cavity_line_mismatch_rejected(key, value):
+    # the cavity section is cut from the line: its z0 and signal speed are the line's
+    raw = preset_raw("low-q")
+    raw["cavity"][key] = value
+    with pytest.raises(ConfigError, match=f"cavity.{key} must equal line.{key}"):
         scenario_from_raw(raw)
 
 
