@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import TWO_PI
 from .errors import ConfigError, ConvergenceError, UnderflowError
@@ -167,6 +166,8 @@ def cavity_resonances(cav: CavityParams, band: tuple[float, float]) -> list[floa
     root exactly once. Returned roots are strictly increasing and satisfy
     |tan - omega_c/omega| < 1e-9 * (omega_c/omega).
     """
+    from scipy.optimize import brentq  # loaded on demand: only resonance searches need SciPy
+
     lo, hi = band
     if not (0.0 < lo < hi):
         raise ConfigError("band must satisfy 0 < lower < upper")
@@ -237,7 +238,7 @@ def dressed_coefficients(
     defect = np.abs(np.abs(r) - 1.0)
     if not np.all(defect <= 1e-10):  # NaN fails too
         raise UnderflowError(
-            f"lossless-reflection invariant violated: max ||R| - 1| = {np.max(defect)!r}"
+            f"lossless-reflection invariant violated: max ||R| - 1| = {float(np.max(defect))}"
         )
     a_self = _mode(w, den, cav)
     s1 = s_coefficient(cfg.cap.delta_c, line.z0, w, om + w) * a_self * mode_response(om + w, cav)

@@ -14,7 +14,6 @@ import sys
 from dataclasses import replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import __version__, cavity, flux, scatter, squeeze
 from .constants import TWO_PI
@@ -34,19 +33,25 @@ from .scenario import (
 _SWEEP_AXES = ("v_pp", "q", "z0", "delta_x")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+def _format_column(values) -> list[str]:
+    # by dtype: text as is, bools 1/0, ints as digits, floats with 17 significant digits
+    column = np.asarray(values)
+    cells = column.tolist()
+    kind = column.dtype.kind
+    if kind == "U":
+        return cells
+    if kind == "b":
+        return ["1" if v else "0" for v in cells]
+    if kind in "iu":
+        return list(map(str, cells))
+    return list(map("{:.17g}".format, cells))
 
 
-def _write_table(out_path: str, header_lines: list[str], columns: list[str], rows) -> None:
+def _write_table(out_path: str, header_lines: list[str], columns: list[str], cells) -> None:
+    """Write a CSV table given one sequence of cells per column (none for an empty table)."""
     lines = [f"# {line}" for line in header_lines]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+    lines.extend(map(",".join, zip(*map(_format_column, cells))))
     text = "\n".join(lines) + "\n"
     if out_path == "-":
         sys.stdout.write(text)
@@ -85,29 +90,18 @@ def _apply_overrides(sc: Scenario, points: int | None, window_time: float | None
 
 def _run_spectrum(sc: Scenario, args, include_electrical: bool) -> None:
     table = flux.output_spectrum(grid_array(sc), sc.cavity, source_config(sc), sc.line, sc.env)
-    om = sc.geometry.omega_m
     columns = ["omega_over_omega_m", "n_total", "n_dce", "n_thermal", "n_mech_only"]
+    cells = [table.omega / sc.geometry.omega_m, table.n_total, table.n_dce, table.n_thermal, table.n_mech_only]
     if include_electrical:
         columns.append("n_dce_electrical")
-    columns.append("flags")
-    rows = []
-    for i in range(len(table)):
-        row = [
-            table.omega[i] / om,
-            table.n_total[i],
-            table.n_dce[i],
-            table.n_thermal[i],
-            table.n_mech_only[i],
-        ]
-        if include_electrical:
-            row.append(table.n_dce[i] - table.n_mech_only[i])
-        row.append(table.flags[i])
-        rows.append(row)
+        cells.append(table.n_dce - table.n_mech_only)
     command = "decompose" if include_electrical else "spectrum"
-    _write_table(args.out, _header(sc, command), columns, rows)
+    _write_table(args.out, _header(sc, command), columns + ["flags"], cells + [table.flags])
 
 
 def _run_resonances(sc: Scenario, args) -> None:
+    from scipy.optimize import minimize_scalar  # loaded on demand: only this command needs SciPy
+
     om = sc.geometry.omega_m
     band = (sc.grid.omega_min, sc.grid.omega_max)
     roots = cavity.cavity_resonances(sc.cavity, band)
@@ -128,7 +122,7 @@ def _run_resonances(sc: Scenario, args) -> None:
         args.out,
         _header(sc, "resonances"),
         ["index", "omega_rad_s", "omega_over_omega_m", "residual", "mode_peak_offset_rad_s", "flags"],
-        rows,
+        list(zip(*rows)),
     )
 
 
@@ -197,7 +191,7 @@ def _run_sweep(sc: Scenario, args) -> None:
         args.out,
         _header(sc, "sweep"),
         ["axis", "value", "omega_probe_over_omega_m", "n_total", "n_dce", "n_thermal", "n_mech_only", "flags"],
-        rows,
+        list(zip(*rows)),
     )
 
 
@@ -229,7 +223,7 @@ def _run_squeeze(sc: Scenario, args) -> None:
         args.out,
         header,
         ["time_s", "two_lambda_t", "n_analytic", "n_numeric", "norm_defect", "odd_population", "truncation_flag"],
-        rows,
+        list(zip(*rows)),
     )
 
 

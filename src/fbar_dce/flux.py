@@ -83,24 +83,27 @@ def thermal_occupation(omega, env: ThermalEnv):
     return float(out) if np.ndim(omega) == 0 else out
 
 
-def _resolve_guard_collisions(grid: np.ndarray, cfg: SourceConfig) -> tuple[np.ndarray, list[str]]:
-    # shift points at guard-band edges outward by one grid step; tag what moved
-    flags = [""] * len(grid)
+def _resolve_guard_collisions(grid: np.ndarray, cfg: SourceConfig) -> tuple[np.ndarray, np.ndarray]:
+    # shift points at guard-band edges outward by one grid step; tag what moved.
+    # Each tone shifts from the original point, and a later tone overrides an earlier one.
+    flags = np.full(len(grid), "", dtype="<U13")
     if cfg.drive.v_pp == 0.0:
         return grid, flags
     step = grid[1] - grid[0] if len(grid) > 1 else cfg.guard_band
     tones = [cfg.drive.omega_d, cfg.cap.omega_m + cfg.drive.omega_d, cfg.cap.omega_m - cfg.drive.omega_d]
     tones = [abs(nu) for nu in tones if nu != 0.0]
     out = grid.copy()
-    for i, w in enumerate(grid):
-        for nu in tones:
-            if abs(w - nu) < cfg.guard_band:
-                shifted = w + step if w >= nu else w - step
-                if abs(shifted - nu) < cfg.guard_band:
-                    flags[i] = "guard-band"
-                else:
-                    out[i] = shifted
-                    flags[i] = "guard-shifted"
+    for nu in tones:
+        near = np.abs(grid - nu) < cfg.guard_band
+        if not near.any():
+            continue
+        idx = np.flatnonzero(near)
+        w = grid[idx]
+        shifted = np.where(w >= nu, w + step, w - step)
+        blocked = np.abs(shifted - nu) < cfg.guard_band
+        out[idx[~blocked]] = shifted[~blocked]
+        flags[idx[blocked]] = "guard-band"
+        flags[idx[~blocked]] = "guard-shifted"
     return out, flags
 
 
@@ -123,7 +126,7 @@ def output_spectrum(
     if w[0] <= 0.0 or w[-1] >= om:
         raise ConfigError("grid must lie strictly inside (0, modulation frequency)")
     w, flags = _resolve_guard_collisions(w, cfg)
-    live = np.array([f != "guard-band" for f in flags])
+    live = flags != "guard-band"
     # |R|^2, |S1|^2, |S2|^2, |h_res|^2 and the delta_c = 0 |h_res|^2; NaN on guard-band rows
     r_sq, s1_sq, s2_sq, h_sq, h_static_sq = np.full((5, len(w)), np.nan)
     if np.any(live):
@@ -154,7 +157,7 @@ def output_spectrum(
         n_dce=n_dce,
         n_thermal=n_thermal,
         n_mech_only=n_mech_only,
-        flags=tuple(flags),
+        flags=tuple(flags.tolist()),
     )
 
 

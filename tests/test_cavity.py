@@ -307,8 +307,9 @@ def test_dressed_coefficients_unimodularity_enforced():
     # a cavity whose round-trip phase overflows gives a NaN reflection; the
     # production check refuses it instead of passing NaN rows on
     broken = replace(CAV, v_light=1e-300)
-    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(UnderflowError):
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(UnderflowError) as info:
         dressed_coefficients(0.5 * OMEGA_M, broken, CFG, LINE)
+    assert str(info.value) == "lossless-reflection invariant violated: max ||R| - 1| = nan"
 
 
 def test_cavity_params_validation():

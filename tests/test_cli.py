@@ -1,15 +1,20 @@
 """Command-line interface: exit codes, CSV schema, determinism, physics columns."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fbar_dce import __version__, cli
+import fbar_dce
+from fbar_dce import __version__, cli, flux
 from fbar_dce.cavity import cavity_resonances
 from fbar_dce.constants import TWO_PI
 from fbar_dce.flux import ThermalEnv, thermal_occupation
-from fbar_dce.scenario import load_scenario, preset_raw
+from fbar_dce.scenario import grid_array, load_scenario, preset_raw, source_config
 
 OMEGA_M = TWO_PI * 4.2e9
 
@@ -263,6 +268,112 @@ def test_sweep_flags_failing_value(tmp_path):
     assert flags == ["", "ValidityError"]
     assert np.isfinite(_column(columns, rows, "n_dce")[0])
     assert np.isnan(_column(columns, rows, "n_dce")[1])
+    assert out.read_text().splitlines()[-1] == "q,1500000000,0.5,nan,nan,nan,nan,ValidityError"
+
+
+def test_resonances_root_free_band_writes_header_only(tmp_path):
+    # the low-q roots sit near 1/6, 1/2 and 5/6 of omega_m; this band holds none
+    def mutate(raw):
+        raw["grid"]["omega_min_hz"] = 1.0e9
+        raw["grid"]["omega_max_hz"] = 1.5e9
+
+    out = tmp_path / "none.csv"
+    path = _write_scenario(tmp_path, mutate)
+    assert cli.main(["resonances", "--scenario", str(path), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.endswith("\n")
+    body = [line for line in text.splitlines() if not line.startswith("#")]
+    assert body == ["index,omega_rad_s,omega_over_omega_m,residual,mode_peak_offset_rad_s,flags"]
+
+
+def _cell(value):
+    # the per-cell rule the column writer must reproduce byte for byte
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "decompose"])
+def test_spectrum_bytes_match_cell_by_cell_rule(tmp_path, command):
+    # a grid running up to the drive tone with a short window: the last rows
+    # are guard-shifted or guard-band (NaN)
+    def mutate(raw):
+        raw["window_time_s"] = 2e-7
+        raw["grid"].update(omega_max_hz=4.19e9, points=200)
+
+    path = _write_scenario(tmp_path, mutate)
+    out = tmp_path / f"{command}.csv"
+    assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == 0
+
+    sc = load_scenario(str(path))
+    table = flux.output_spectrum(grid_array(sc), sc.cavity, source_config(sc), sc.line, sc.env)
+    assert {"guard-band", "guard-shifted"} <= set(table.flags)
+    columns = ["omega_over_omega_m", "n_total", "n_dce", "n_thermal", "n_mech_only"]
+    if command == "decompose":
+        columns.append("n_dce_electrical")
+    lines = [f"# {line}" for line in cli._header(sc, command)] + [",".join(columns + ["flags"])]
+    for i in range(len(table)):
+        row = [
+            table.omega[i] / sc.geometry.omega_m,
+            table.n_total[i],
+            table.n_dce[i],
+            table.n_thermal[i],
+            table.n_mech_only[i],
+        ]
+        if command == "decompose":
+            row.append(table.n_dce[i] - table.n_mech_only[i])
+        lines.append(",".join(_cell(v) for v in row + [table.flags[i]]))
+    expected = "\n".join(lines) + "\n"
+    assert ",nan," in expected
+    assert out.read_bytes() == expected.encode()
+
+
+def _run_fresh(args):
+    # a fresh interpreter, so sys.modules holds only what this one command imported
+    code = (
+        "import sys\nfrom fbar_dce import cli\nrc = cli.main(sys.argv[1:])\n"
+        "print(rc, any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    package_root = str(Path(fbar_dce.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True
+    )
+    rc, scipy_loaded = proc.stdout.split()
+    return int(rc), scipy_loaded == "True"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--points", "64"],
+        ["decompose", "--points", "64"],
+        ["sweep", "--axis", "z0", "--values", "55,10000"],
+        ["squeeze", "--dim", "16", "--samples", "3"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_commands_without_root_search_leave_scipy_unloaded(tmp_path, args):
+    assert _run_fresh(args + ["--out", str(tmp_path / "x.csv")]) == (0, False)
+
+
+def test_resonances_loads_scipy_and_keeps_columns(tmp_path):
+    out = tmp_path / "res.csv"
+    assert _run_fresh(["resonances", "--out", str(out)]) == (0, True)
+    _, columns, rows = _read_table(out)
+    assert columns == [
+        "index",
+        "omega_rad_s",
+        "omega_over_omega_m",
+        "residual",
+        "mode_peak_offset_rad_s",
+        "flags",
+    ]
+    assert len(rows) == 3
 
 
 def test_squeeze_command_matches_closed_form(tmp_path):
