@@ -18,12 +18,10 @@ import numpy as np
 from . import __version__, cavity, flux, scatter, squeeze
 from .constants import TWO_PI
 from .errors import ConfigError, NumericalError, SimulationError
-from .piezo import DriveParams
 from .scenario import (
     Scenario,
     grid_array,
     load_scenario,
-    motional_amplitude,
     scenario_from_raw,
     scenario_hash,
     source_config,
@@ -56,8 +54,11 @@ def _write_table(out_path: str, header_lines: list[str], columns: list[str], cel
     if out_path == "-":
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _header(sc: Scenario, command: str) -> list[str]:
@@ -67,7 +68,7 @@ def _header(sc: Scenario, command: str) -> list[str]:
         f"scenario: {sc.name}",
         f"scenario-sha256: {scenario_hash(sc)}",
         f"window-time-s: {sc.window_time:.17g}",
-        f"guard-band-rad-s: {100.0 / sc.window_time:.17g}",
+        f"guard-band-rad-s: {scatter.guard_band(sc.window_time):.17g}",
         "normalization: columns are occupation spectral densities; the drive-sourced term uses the"
         " steady (window-independent) part of the turn-on transform, with coherent drive-line"
         " weights split off and their guard bands excluded",
@@ -127,32 +128,22 @@ def _run_resonances(sc: Scenario, args) -> None:
 
 
 def _sweep_components(sc: Scenario, axis: str, value: float, pin_delta_c_zero: bool):
-    """Per-value configuration: returns (cavity, source_config, line)."""
-    geometry, drive, line = sc.geometry, sc.drive, sc.line
+    """Per-value configuration: returns (source_config, line)."""
+    line = sc.line
     delta_x = None
     if axis == "v_pp":
-        drive = DriveParams(v_pp=value, phase=drive.phase, omega_d=drive.omega_d)
+        sc = replace(sc, drive=replace(sc.drive, v_pp=value))
     elif axis == "q":
-        geometry = replace(geometry, quality=value)
+        sc = replace(sc, geometry=replace(sc.geometry, quality=value))
     elif axis == "z0":
         # bare prefactor scan: cavity dressing stays at the scenario values
         line = scatter.LineParams(z0=value, v_light=line.v_light)
-    elif axis == "delta_x":
+    else:  # delta_x: the mirror amplitude itself
         delta_x = value
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
-    if delta_x is None:
-        from .piezo import driven_amplitude
-
-        delta_x = driven_amplitude(sc.material, geometry, drive)
-    from .piezo import delta_capacitance
-
-    _, delta_c = delta_capacitance(sc.material, geometry, delta_x, c0=sc.mbvd.c_plate)
+    cfg = source_config(sc, delta_x)
     if pin_delta_c_zero:
-        delta_c = 0.0
-    cap = scatter.TimeVaryingCap(c0=sc.mbvd.c_plate, delta_c=delta_c, omega_m=geometry.omega_m)
-    cfg = scatter.SourceConfig(drive=drive, cap=cap, window_time=sc.window_time)
-    return sc.cavity, cfg, line
+        cfg = replace(cfg, cap=replace(cfg.cap, delta_c=0.0))
+    return cfg, line
 
 
 def _run_sweep(sc: Scenario, args) -> None:
@@ -171,22 +162,12 @@ def _run_sweep(sc: Scenario, args) -> None:
     rows = []
     for value in values:
         try:
-            cav, cfg, line = _sweep_components(sc, args.axis, value, args.pin_delta_c_zero)
-            table = flux.output_spectrum(probe, cav, cfg, line, sc.env)
-            rows.append(
-                [
-                    args.axis,
-                    value,
-                    0.5,
-                    table.n_total[0],
-                    table.n_dce[0],
-                    table.n_thermal[0],
-                    table.n_mech_only[0],
-                    table.flags[0],
-                ]
-            )
+            cfg, line = _sweep_components(sc, args.axis, value, args.pin_delta_c_zero)
+            table = flux.output_spectrum(probe, sc.cavity, cfg, line, sc.env)
+            cells = [table.n_total[0], table.n_dce[0], table.n_thermal[0], table.n_mech_only[0], table.flags[0]]
         except SimulationError as exc:
-            rows.append([args.axis, value, 0.5, np.nan, np.nan, np.nan, np.nan, type(exc).__name__])
+            cells = [np.nan, np.nan, np.nan, np.nan, type(exc).__name__]
+        rows.append([args.axis, value, 0.5] + cells)
     _write_table(
         args.out,
         _header(sc, "sweep"),
@@ -202,9 +183,9 @@ def _run_squeeze(sc: Scenario, args) -> None:
         times = np.linspace(0.0, 1.0, args.samples)
     else:
         times = np.linspace(0.0, args.t_max / (2.0 * lam), args.samples)
-    results = squeeze.evolve_series(lam, times[1:], dim=args.dim)
-    rows = [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False]]
-    for t, res in zip(times[1:], results):
+    results = squeeze.evolve_series(lam, times, dim=args.dim)
+    rows = []
+    for t, res in zip(times, results):
         rows.append(
             [
                 t,

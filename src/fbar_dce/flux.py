@@ -144,6 +144,9 @@ def output_spectrum(
 
     # removed-modulation reference: delta_c = 0, source still connected
     n_mech_only = n_dce - h_static_sq
+    overflow = ~np.isfinite(np.stack([n_total, n_dce, n_thermal, n_mech_only])[:, live])
+    if np.any(overflow):
+        raise NumericalError(f"non-finite occupation at {int(np.sum(overflow.any(axis=0)))} grid points")
     bad = n_mech_only[live] < _NEGATIVE_ROUNDOFF_FLOOR
     if np.any(bad):
         raise NumericalError(

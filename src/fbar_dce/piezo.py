@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import EPS0
 from .errors import ConfigError, UnderflowError, ValidityError
 
 # Fractional displacement bound below which the first-order expansion of the
@@ -52,7 +53,7 @@ class MaterialProps:
                 raise ConfigError(f"material.{name} must be strictly positive")
         if not 0.0 < self.poisson < 0.5:
             raise ConfigError("material.poisson must lie in (0, 0.5)")
-        if self.permittivity < 8.8541878128e-12:
+        if self.permittivity < EPS0:
             raise ConfigError("material.permittivity must be at least the vacuum permittivity")
 
 

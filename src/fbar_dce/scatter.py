@@ -20,7 +20,7 @@ for continuous-part evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,31 +50,19 @@ class TimeVaryingCap:
 
 @dataclass(frozen=True)
 class LineParams:
-    """Transmission-line parameters.
-
-    cap_density and ind_density default to the values implied by z0 and
-    v_light (cap_density = 1/(v_light*z0), ind_density = z0/v_light); when
-    given explicitly they must reproduce z0 and v_light to 1e-9 relative.
-    """
+    """Transmission-line parameters: characteristic impedance and signal speed."""
 
     z0: float
     v_light: float
-    cap_density: float = field(default=0.0)
-    ind_density: float = field(default=0.0)
 
     def __post_init__(self):
         if not (self.z0 > 0.0 and self.v_light > 0.0):
             raise ConfigError("line.z0 and line.v_light must be strictly positive")
-        if self.cap_density == 0.0:
-            object.__setattr__(self, "cap_density", 1.0 / (self.v_light * self.z0))
-        if self.ind_density == 0.0:
-            object.__setattr__(self, "ind_density", self.z0 / self.v_light)
-        z0_check = math.sqrt(self.ind_density / self.cap_density)
-        v_check = 1.0 / math.sqrt(self.ind_density * self.cap_density)
-        if abs(z0_check - self.z0) > 1e-9 * self.z0:
-            raise ConfigError("line densities inconsistent with z0 = sqrt(ind_density/cap_density)")
-        if abs(v_check - self.v_light) > 1e-9 * self.v_light:
-            raise ConfigError("line densities inconsistent with v_light = 1/sqrt(ind*cap)")
+
+    @property
+    def cap_density(self) -> float:
+        """Capacitance per unit length 1/(v_light*z0) [F/m]."""
+        return 1.0 / (self.v_light * self.z0)
 
 
 @dataclass(frozen=True)
@@ -94,8 +82,13 @@ class SourceConfig:
 
     @property
     def guard_band(self) -> float:
-        """Half-width [rad/s] of the line-dominated neighborhood of each tone."""
-        return 100.0 / self.window_time
+        """`guard_band` of this window [rad/s]."""
+        return guard_band(self.window_time)
+
+
+def guard_band(window_time: float) -> float:
+    """Half-width [rad/s] of the line-dominated neighborhood of each tone."""
+    return 100.0 / window_time
 
 
 def capacitance_at(cap: TimeVaryingCap, t):

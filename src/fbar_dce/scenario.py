@@ -244,13 +244,10 @@ def load_scenario(path_or_preset: str | Path) -> Scenario:
     name = str(path_or_preset)
     if name in PRESET_NAMES:
         return scenario_from_raw(preset_raw(name))
-    path = Path(path_or_preset)
-    if not path.exists():
-        raise ConfigError(f"scenario {name!r} is neither a preset nor an existing file")
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {name}: {exc}") from exc
+        raw = json.loads(Path(path_or_preset).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable path, not UTF-8, or invalid JSON
+        raise ConfigError(f"scenario {name!r} is no preset, and an unreadable file or invalid JSON: {exc}") from exc
     return scenario_from_raw(raw)
 
 

@@ -13,6 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, RwaViolationError, ValidityError
+from .piezo import CAP_EXPANSION_BOUND
 
 RK4_STEP_BOUND = 5e-4  # dimensionless step 2*lambda*h per integrator step
 TRUNCATION_POPULATION_BOUND = 1e-8  # top-two-level population above which truncation is flagged
@@ -39,7 +40,7 @@ class LcParams:
                 raise ConfigError(f"lc.{name} must be strictly positive")
         if self.delta_x < 0.0:
             raise ConfigError("lc.delta_x must be non-negative")
-        if self.delta_x >= self.gap / 100.0:
+        if self.delta_x >= self.gap * CAP_EXPANSION_BOUND:
             raise ValidityError("lc.delta_x must stay below gap/100 for the series expansion")
 
     @property
@@ -132,30 +133,17 @@ def _step_count(lam: float, duration: float) -> int:
     return max(1, math.ceil(2.0 * lam * duration / RK4_STEP_BOUND))
 
 
-def evolve_truncated(lam: float, t: float, dim: int = 60) -> EvolutionResult:
-    """Evolve vacuum under the pair-creation generator for time t in a dim-level basis.
-
-    Fixed-step 4th-order integration with dimensionless step 2*lambda*h below
-    5e-4. Valid for dim >= 16 and 2*lambda*t <= 2; population reaching the top
-    two levels beyond 1e-8 sets the truncation flag.
-    """
-    if dim < 16:
-        raise ConfigError("dim must be >= 16")
-    if lam < 0.0 or t < 0.0:
-        raise ConfigError("lam and t must be non-negative")
-    if 2.0 * lam * t > 2.0:
-        raise ValidityError("2*lambda*t must stay <= 2 for the truncated evolution")
-    psi = np.zeros(dim, dtype=complex)
-    psi[0] = 1.0
-    if lam == 0.0 or t == 0.0:
-        return _observe(psi)
-    psi = _rk4_advance(psi, pair_creation_matrix(dim), lam, t, _step_count(lam, t))
-    return _observe(psi)
-
-
 def evolve_series(lam: float, times, dim: int = 60) -> list[EvolutionResult]:
-    """One trajectory observed at the given increasing times (starting at or after 0)."""
+    """Evolve vacuum under the pair-creation generator in a dim-level basis.
+
+    One trajectory, observed at each of the non-negative, strictly increasing
+    times. Fixed-step 4th-order integration with dimensionless step 2*lambda*h
+    below 5e-4. Valid for dim >= 16 and 2*lambda*t <= 2; population reaching
+    the top two levels beyond 1e-8 sets the truncation flag.
+    """
     ts = np.asarray(times, dtype=float)
+    if lam < 0.0:
+        raise ConfigError("lam must be non-negative")
     if np.any(ts < 0.0) or np.any(np.diff(ts) <= 0.0):
         raise ConfigError("times must be non-negative and strictly increasing")
     if dim < 16:

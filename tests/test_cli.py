@@ -93,6 +93,23 @@ def test_unknown_scenario_exit_code_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["scenario-directory", "scenario-not-utf8", "out-missing-directory"])
+def test_unusable_path_exit_code_2(tmp_path, capsys, case):
+    scenario, out = "low-q", tmp_path / "x.csv"
+    if case == "scenario-directory":
+        scenario = str(tmp_path)
+    elif case == "scenario-not-utf8":
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(preset_raw("low-q")).replace("low-q", "b\u00e9ta").encode("latin-1"))
+        scenario = str(path)
+    else:
+        out = tmp_path / "missing" / "x.csv"
+    rc = cli.main(["spectrum", "--points", "16", "--scenario", scenario, "--out", str(out)])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_decomposition_exit_code_3(tmp_path, capsys):
     # Away from the quarter-period drive phase the mechanical/electrical
     # split is ill-defined and the spectrum reports a numerical failure.
@@ -258,6 +275,19 @@ def test_sweep_pinned_v_pp_quadratic(tmp_path):
     assert np.all(_column(columns, rows, "n_mech_only") == 0.0)
 
 
+def test_sweep_z0_beyond_float_range_is_flagged(tmp_path):
+    # 1e-200 ohm is a valid line; at 1e200 ohm the occupations overflow, and
+    # the row must be flagged rather than hold inf or nan unflagged
+    out = tmp_path / "z0.csv"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rc = cli.main(["sweep", "--axis", "z0", "--values", "1e-200,1e200", "--out", str(out)])
+    assert rc == 0
+    _, columns, rows = _read_table(out)
+    assert _column(columns, rows, "flags", dtype=str) == ["", "NumericalError"]
+    assert np.all(np.isfinite(_column(columns, rows, "n_total")[:1]))
+    assert np.all(np.isnan(_column(columns, rows, "n_total")[1:]))
+
+
 def test_sweep_flags_failing_value(tmp_path):
     # A quality factor so high the deflection leaves the expansion's
     # validity range: the row is kept, flagged, and holds no numbers.
@@ -390,6 +420,7 @@ def test_squeeze_command_matches_closed_form(tmp_path):
         "truncation_flag",
     ]
     assert len(rows) == 21
+    assert rows[0] == ["0"] * 7  # t = 0 is evaluated like every other sample: vacuum
     assert any(line.startswith("# squeeze-rate-rad-s: ") for line in header)
     assert any(line.startswith("# truncation-dim: 60") for line in header)
     analytic = _column(columns, rows, "n_analytic")

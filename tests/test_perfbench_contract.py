@@ -1,0 +1,89 @@
+"""What the benchmark in `perfbench/` relies on from the package.
+
+The tracer looks up every function it wraps by name, so a rename or merge in
+the package must fail here and not only when `--trace 1` runs. The sweep rows
+the benchmark asks for (its seeded log ranges on every axis and preset) must
+equal an evaluation of the same configuration built by a separate route.
+"""
+
+import copy
+import importlib
+import importlib.util
+import math
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fbar_dce import cli, flux
+from fbar_dce.errors import SimulationError
+from fbar_dce.scatter import LineParams, SourceConfig, TimeVaryingCap
+from fbar_dce.scenario import load_scenario, preset_raw, scenario_from_raw, source_config
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACER = _perfbench_module("tracer")
+WORKLOADS = _perfbench_module("workloads")
+
+
+def test_every_traced_name_resolves():
+    for layer, names in TRACER.LAYERS.items():
+        module = importlib.import_module(f"fbar_dce.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"fbar_dce.{layer}.{name}"
+
+
+def _expected_row(preset: str, axis: str, value: float, pin: bool) -> str:
+    """The sweep row built from the raw mapping, the line or the explicit displacement."""
+    sc = load_scenario(preset)
+    line, delta_x = sc.line, None
+    probe = np.array([sc.geometry.omega_m / 2.0])
+    try:
+        if axis in ("v_pp", "q"):
+            raw = copy.deepcopy(preset_raw(preset))
+            section, key = ("drive", "v_pp_volts") if axis == "v_pp" else ("geometry", "quality")
+            raw[section][key] = value
+            sc = scenario_from_raw(raw)
+        elif axis == "z0":
+            line = LineParams(z0=value, v_light=sc.line.v_light)
+        else:
+            delta_x = value
+        cfg = source_config(sc, delta_x=delta_x)
+        if pin:
+            still = TimeVaryingCap(c0=cfg.cap.c0, delta_c=0.0, omega_m=cfg.cap.omega_m)
+            cfg = SourceConfig(drive=cfg.drive, cap=still, window_time=cfg.window_time)
+        table = flux.output_spectrum(probe, sc.cavity, cfg, line, sc.env)
+        numbers = [table.n_total[0], table.n_dce[0], table.n_thermal[0], table.n_mech_only[0]]
+        flag = table.flags[0]
+    except SimulationError as exc:
+        numbers, flag = [math.nan] * 4, type(exc).__name__
+    return ",".join([axis, f"{value:.17g}", "0.5"] + [f"{x:.17g}" for x in numbers] + [flag])
+
+
+@st.composite
+def _sweeps(draw):
+    axis = draw(st.sampled_from(WORKLOADS.SWEEP_AXES))
+    lo, hi = WORKLOADS.SWEEP_RANGES[axis]
+    exponent = st.floats(min_value=math.log10(lo), max_value=math.log10(hi))
+    values = [10.0**e for e in draw(st.lists(exponent, min_size=1, max_size=3))]
+    return draw(st.sampled_from(WORKLOADS.PRESETS)), axis, values, draw(st.booleans())
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(_sweeps())
+def test_sweep_rows_match_independent_evaluation(tmp_path_factory, sweep):
+    preset, axis, values, pin = sweep
+    out = tmp_path_factory.getbasetemp() / "sweep.csv"
+    argv = ["sweep", "--scenario", preset, "--axis", axis, "--values", ",".join(map(repr, values))]
+    assert cli.main(argv + ["--pin-delta-c-zero"] * pin + ["--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[-len(values):]
+    assert rows == [_expected_row(preset, axis, value, pin) for value in values]

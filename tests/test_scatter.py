@@ -76,13 +76,6 @@ def test_effective_length():
     assert effective_length(0.4e-12, slower) == pytest.approx(1.1e-3, rel=1e-12)
 
 
-def test_line_params_consistency_enforced():
-    # explicit densities matching (z0, v) are accepted
-    LineParams(z0=55.0, v_light=1.0e8, cap_density=1.0 / 5.5e9, ind_density=55.0 / 1.0e8)
-    with pytest.raises(ConfigError):
-        LineParams(z0=55.0, v_light=1.0e8, cap_density=2.0 / 5.5e9, ind_density=55.0 / 1.0e8)
-
-
 def test_s_coefficient_steps_and_symmetry():
     w = 2.0 * math.pi * 2.1e9
     assert s_coefficient(DELTA_C, 55.0, -w, w) == 0.0

@@ -19,7 +19,6 @@ from fbar_dce.squeeze import (
     LcParams,
     analytic_photon_number,
     evolve_series,
-    evolve_truncated,
     inverse_capacitance_series,
     pair_creation_matrix,
     squeeze_coupling,
@@ -144,7 +143,7 @@ def test_pair_creation_matrix_entries():
 
 
 def test_evolve_zero_coupling_stays_in_vacuum():
-    res = evolve_truncated(0.0, 1.0)
+    (res,) = evolve_series(0.0, [1.0])
     assert res.mean_photons == 0.0
     assert res.norm_defect == 0.0
     assert res.odd_population == 0.0
@@ -153,7 +152,7 @@ def test_evolve_zero_coupling_stays_in_vacuum():
 
 def test_evolution_matches_analytic_growth():
     t = 1.0 / (2.0 * LAMBDA)
-    res = evolve_truncated(LAMBDA, t)
+    (res,) = evolve_series(LAMBDA, [t])
     assert abs(res.mean_photons - analytic_photon_number(LAMBDA, t)) < 1e-6
     assert abs(res.norm_defect) < 1e-9
     # Pair creation preserves photon-number parity exactly.
@@ -163,7 +162,7 @@ def test_evolution_matches_analytic_growth():
 def test_evolution_matches_eigendecomposition_propagator():
     for dim, r in ((60, 1.0), (60, 1.5), (240, 1.5)):
         t = r / (2.0 * LAMBDA)
-        rk4 = evolve_truncated(LAMBDA, t, dim=dim)
+        (rk4,) = evolve_series(LAMBDA, [t], dim=dim)
         exact = _eigh_mean_photons(LAMBDA, t, dim)
         assert abs(rk4.mean_photons - exact) < 1e-11
 
@@ -172,10 +171,10 @@ def test_truncation_floor_and_recovery():
     # At 2*lambda*t = 1.5 a 60-level basis visibly truncates the growth;
     # the flag reports it and quadrupling the basis recovers the closed form.
     t = 1.5 / (2.0 * LAMBDA)
-    small = evolve_truncated(LAMBDA, t, dim=60)
+    (small,) = evolve_series(LAMBDA, [t], dim=60)
     assert small.truncation_flag
     assert abs(small.mean_photons - analytic_photon_number(LAMBDA, t)) > 1e-3
-    big = evolve_truncated(LAMBDA, t, dim=240)
+    (big,) = evolve_series(LAMBDA, [t], dim=240)
     assert not big.truncation_flag
     assert abs(big.mean_photons - analytic_photon_number(LAMBDA, t)) < 1e-9
 
@@ -185,7 +184,7 @@ def test_series_matches_single_shot_runs():
     results = evolve_series(LAMBDA, times)
     assert len(results) == 3
     for t, res in zip(times, results):
-        single = evolve_truncated(LAMBDA, float(t))
+        (single,) = evolve_series(LAMBDA, [t])
         assert res.mean_photons == pytest.approx(single.mean_photons, rel=1e-12)
         assert res.odd_population == 0.0
 
@@ -196,22 +195,17 @@ def test_series_validation():
     with pytest.raises(ConfigError):
         evolve_series(LAMBDA, [-1e-4, 1e-4])
     with pytest.raises(ConfigError):
+        evolve_series(LAMBDA, [-1e-4])
+    with pytest.raises(ConfigError):
         evolve_series(LAMBDA, [1e-4], dim=8)
+    with pytest.raises(ConfigError):
+        evolve_series(LAMBDA, [1e-4], dim=15)
+    with pytest.raises(ConfigError):
+        evolve_series(-1.0, [1e-4])
     with pytest.raises(ValidityError):
         evolve_series(LAMBDA, [2.001 / (2.0 * LAMBDA)])
-
-
-def test_evolve_validation():
-    with pytest.raises(ConfigError):
-        evolve_truncated(LAMBDA, 1e-4, dim=15)
-    with pytest.raises(ConfigError):
-        evolve_truncated(-1.0, 1e-4)
-    with pytest.raises(ConfigError):
-        evolve_truncated(LAMBDA, -1e-4)
-    with pytest.raises(ValidityError):
-        evolve_truncated(LAMBDA, 2.001 / (2.0 * LAMBDA))
     # The boundary itself is legal.
-    res = evolve_truncated(LAMBDA, 2.0 / (2.0 * LAMBDA), dim=60)
+    (res,) = evolve_series(LAMBDA, [2.0 / (2.0 * LAMBDA)], dim=60)
     assert res.mean_photons > 0.0
 
 
