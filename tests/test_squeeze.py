@@ -195,13 +195,20 @@ def test_series_validation():
     with pytest.raises(ConfigError):
         evolve_series(LAMBDA, [-1e-4, 1e-4])
     with pytest.raises(ConfigError):
-        evolve_series(LAMBDA, [-1e-4])
-    with pytest.raises(ConfigError):
         evolve_series(LAMBDA, [1e-4], dim=8)
+    with pytest.raises(ValidityError):
+        evolve_series(LAMBDA, [2.001 / (2.0 * LAMBDA)])
+
+
+def test_evolve_validation():
+    # Single-sample runs: odd basis size, negative rate, negative time and
+    # 2*lambda*t beyond 2 are refused.
     with pytest.raises(ConfigError):
         evolve_series(LAMBDA, [1e-4], dim=15)
     with pytest.raises(ConfigError):
         evolve_series(-1.0, [1e-4])
+    with pytest.raises(ConfigError):
+        evolve_series(LAMBDA, [-1e-4])
     with pytest.raises(ValidityError):
         evolve_series(LAMBDA, [2.001 / (2.0 * LAMBDA)])
     # The boundary itself is legal.
