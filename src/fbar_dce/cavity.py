@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import TWO_PI
-from .errors import ConfigError, ConvergenceError, UnderflowError
+from .errors import ConfigError, ConvergenceError, UnderflowError, positive_frequencies
 from .scatter import LineParams, SourceConfig, TimeVaryingCap, h_coefficient, s_coefficient
 
 _MAX_REFINE_ITERATIONS = 200
@@ -72,8 +72,7 @@ def inout_transfer(omega: float, omega_coupling: float) -> np.ndarray:
     the matrix is [[conj(alpha), beta], [conj(beta), alpha]]; its determinant
     |alpha|^2 - |beta|^2 equals 1 identically.
     """
-    if not omega > 0.0:
-        raise ConfigError("omega must be strictly positive")
+    positive_frequencies(omega)
     x = omega_coupling / (2.0 * omega)
     alpha = 1.0 + 1j * x
     beta = 1j * x
@@ -95,8 +94,7 @@ def transfer_determinant(m: np.ndarray) -> complex:
 
 def propagate(omega: float, cav: CavityParams) -> np.ndarray:
     """Diagonal phase matrix diag(e^{i*k*d_eff}, e^{-i*k*d_eff}) with k = omega/v_light."""
-    if not omega > 0.0:
-        raise ConfigError("omega must be strictly positive")
+    positive_frequencies(omega)
     phase = np.exp(1j * omega * cav.d_eff / cav.v_light)
     return np.array([[phase, 0.0], [0.0, np.conj(phase)]], dtype=complex)
 
@@ -127,11 +125,8 @@ def reflection_coefficient(omega, cav: CavityParams):
     e^{2ikd} * conj(denominator), so the coefficient is evaluated in that
     form and |R| = 1 holds to rounding for every omega.
     """
-    w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0.0):
-        raise ConfigError("omega must be strictly positive")
-    result = _reflection(w, _denominator(w, cav), cav)
-    return complex(result) if np.ndim(omega) == 0 else result
+    w = positive_frequencies(omega)
+    return _reflection(w, _denominator(w, cav), cav)
 
 
 def mode_response(omega, cav: CavityParams):
@@ -140,11 +135,8 @@ def mode_response(omega, cav: CavityParams):
     Peaks at the cavity resonances; vanishes in the decoupled limit
     omega_coupling >> omega.
     """
-    w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0.0):
-        raise ConfigError("omega must be strictly positive")
-    result = _mode(w, _denominator(w, cav), cav)
-    return complex(result) if np.ndim(omega) == 0 else result
+    w = positive_frequencies(omega)
+    return _mode(w, _denominator(w, cav), cav)
 
 
 def _resonance_mismatch(omega: float, cav: CavityParams) -> float:

@@ -6,6 +6,8 @@ exit with code 2, numerical failures (denominator underflow, non-converged
 root refinement, guard-band evaluation) exit with code 3.
 """
 
+import numpy as np
+
 
 class SimulationError(Exception):
     """Base class for all package errors."""
@@ -37,3 +39,11 @@ class GuardBandError(NumericalError):
 
 class ConvergenceError(NumericalError):
     """Iterative refinement failed to converge within its iteration budget."""
+
+
+def positive_frequencies(omega) -> np.ndarray:
+    """omega as a float array; ConfigError unless every entry is > 0 (NaN is rejected too)."""
+    w = np.asarray(omega, dtype=float)
+    if not np.all(w > 0.0):
+        raise ConfigError("omega must be strictly positive")
+    return w

@@ -19,15 +19,15 @@ lines accounted separately via scatter.line_weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import CavityParams, dressed_coefficients, mode_response
+from .cavity import CavityParams, dressed_coefficients
 from .constants import HBAR, K_B
-from .errors import ConfigError, NumericalError
-from .scatter import LineParams, SourceConfig, h_coefficient, s_coefficient
+from .errors import ConfigError, NumericalError, positive_frequencies
+from .scatter import LineParams, SourceConfig, h_coefficient, s_coefficient, tones
 
 _NEGATIVE_ROUNDOFF_FLOOR = -1e-15
 
@@ -72,28 +72,21 @@ class ScalingExponents(NamedTuple):
 
 def thermal_occupation(omega, env: ThermalEnv):
     """Bose-Einstein occupation 1/(exp(hbar*omega/(k_B T)) - 1); zero at T = 0."""
-    w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0.0):
-        raise ConfigError("omega must be strictly positive (occupation diverges at 0)")
+    w = positive_frequencies(omega)
     if env.temperature == 0.0:
-        out = np.zeros_like(w)
-        return float(out) if np.ndim(omega) == 0 else out
-    x = HBAR * w / (K_B * env.temperature)
-    out = np.where(x > 700.0, 0.0, 1.0 / np.expm1(np.minimum(x, 700.0)))
-    return float(out) if np.ndim(omega) == 0 else out
+        return np.zeros_like(w)
+    with np.errstate(over="ignore", divide="ignore"):  # x = inf (k_B*T underflows) is the x > 700 regime
+        x = HBAR * w / (K_B * env.temperature)
+    return np.where(x > 700.0, 0.0, 1.0 / np.expm1(np.minimum(x, 700.0)))
 
 
 def _resolve_guard_collisions(grid: np.ndarray, cfg: SourceConfig) -> tuple[np.ndarray, np.ndarray]:
-    # shift points at guard-band edges outward by one grid step; tag what moved.
-    # Each tone shifts from the original point, and a later tone overrides an earlier one.
+    # shift points at guard-band edges of scatter.tones outward by one grid step; tag what
+    # moved. Each tone shifts from the original point, and a later tone overrides an earlier one.
     flags = np.full(len(grid), "", dtype="<U13")
-    if cfg.drive.v_pp == 0.0:
-        return grid, flags
     step = grid[1] - grid[0] if len(grid) > 1 else cfg.guard_band
-    tones = [cfg.drive.omega_d, cfg.cap.omega_m + cfg.drive.omega_d, cfg.cap.omega_m - cfg.drive.omega_d]
-    tones = [abs(nu) for nu in tones if nu != 0.0]
     out = grid.copy()
-    for nu in tones:
+    for _, nu, _ in tones(cfg):
         near = np.abs(grid - nu) < cfg.guard_band
         if not near.any():
             continue
@@ -125,25 +118,29 @@ def output_spectrum(
         raise ConfigError("grid must be strictly increasing")
     if w[0] <= 0.0 or w[-1] >= om:
         raise ConfigError("grid must lie strictly inside (0, modulation frequency)")
-    w, flags = _resolve_guard_collisions(w, cfg)
-    live = flags != "guard-band"
-    # |R|^2, |S1|^2, |S2|^2, |h_res|^2 and the delta_c = 0 |h_res|^2; NaN on guard-band rows
-    r_sq, s1_sq, s2_sq, h_sq, h_static_sq = np.full((5, len(w)), np.nan)
-    if np.any(live):
-        r_sq[live], s1_sq[live], s2_sq[live], h_sq[live], h_static_sq[live] = (
-            np.abs(c) ** 2 for c in dressed_coefficients(w[live], cav, cfg, line)
-        )
+    try:  # an overflowing or invalid evaluation is one NumericalError, not numpy warnings
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            w, flags = _resolve_guard_collisions(w, cfg)
+            live = flags != "guard-band"
+            # |R|^2, |S1|^2, |S2|^2, |h_res|^2 and the delta_c = 0 |h_res|^2; NaN on guard-band rows
+            r_sq, s1_sq, s2_sq, h_sq, h_static_sq = np.full((5, len(w)), np.nan)
+            if np.any(live):
+                r_sq[live], s1_sq[live], s2_sq[live], h_sq[live], h_static_sq[live] = (
+                    np.abs(c) ** 2 for c in dressed_coefficients(w[live], cav, cfg, line)
+                )
 
-    n_in = thermal_occupation(w, env)
-    n_in_up = thermal_occupation(om + w, env)
-    n_in_down = thermal_occupation(om - w, env)
+            n_in = thermal_occupation(w, env)
+            n_in_up = thermal_occupation(om + w, env)
+            n_in_down = thermal_occupation(om - w, env)
 
-    n_thermal = r_sq * n_in + s1_sq * n_in_up + s2_sq * n_in_down
-    n_dce = s2_sq + h_sq
-    n_total = r_sq * n_in + s1_sq * n_in_up + s2_sq * (1.0 + n_in_down) + h_sq
+            n_thermal = r_sq * n_in + s1_sq * n_in_up + s2_sq * n_in_down
+            n_dce = s2_sq + h_sq
+            n_total = r_sq * n_in + s1_sq * n_in_up + s2_sq * (1.0 + n_in_down) + h_sq
 
-    # removed-modulation reference: delta_c = 0, source still connected
-    n_mech_only = n_dce - h_static_sq
+            # removed-modulation reference: delta_c = 0, source still connected
+            n_mech_only = n_dce - h_static_sq
+    except FloatingPointError as exc:
+        raise NumericalError(f"floating-point breakdown in the spectrum evaluation: {exc}") from exc
     overflow = ~np.isfinite(np.stack([n_total, n_dce, n_thermal, n_mech_only])[:, live])
     if np.any(overflow):
         raise NumericalError(f"non-finite occupation at {int(np.sum(overflow.any(axis=0)))} grid points")
@@ -209,28 +206,20 @@ def resonant_rate_scaling(cav: CavityParams, cfg: SourceConfig, line: LineParams
     |S2_res|^2 should fit an exponent of exactly 2 versus delta_x; holding the
     line's capacitance density fixed while varying the signal speed scales
     z0 = 1/(cap_density * v) inversely, so the same flux fits an exponent of
-    -2 versus v_light. Dressing is held fixed in both fits.
+    -2 versus v_light. Dressing is held fixed in both fits, and each point is
+    |S2_res|^2 of `dressed_coefficients`, the evaluation the spectrum uses.
     """
-    probe = cfg.cap.omega_m / 2.0
-    om = cfg.cap.omega_m
-    dressing = abs(np.conj(mode_response(probe, cav)) * mode_response(om - probe, cav)) ** 2
+    probe = np.array([cfg.cap.omega_m / 2.0])
+
+    def mech_flux(delta_c: float, scaled_line: LineParams) -> float:
+        scaled_cfg = replace(cfg, cap=replace(cfg.cap, delta_c=delta_c))
+        return abs(dressed_coefficients(probe, cav, scaled_cfg, scaled_line).s2_res[0]) ** 2
 
     multipliers = np.array([1.0, 2.0, 4.0])
-    flux_dx = np.array(
-        [
-            abs(s_coefficient(m * cfg.cap.delta_c, line.z0, probe, om - probe)) ** 2 * dressing
-            for m in multipliers
-        ]
-    )
+    flux_dx = [mech_flux(m * cfg.cap.delta_c, line) for m in multipliers]
     exp_dx = float(np.polyfit(np.log(multipliers), np.log(flux_dx), 1)[0])
 
     speeds = np.array([line.v_light, 2.0 * line.v_light])
-    flux_v = np.array(
-        [
-            abs(s_coefficient(cfg.cap.delta_c, 1.0 / (line.cap_density * v), probe, om - probe)) ** 2
-            * dressing
-            for v in speeds
-        ]
-    )
+    flux_v = [mech_flux(cfg.cap.delta_c, LineParams(z0=1.0 / (line.cap_density * v), v_light=v)) for v in speeds]
     exp_v = float(np.polyfit(np.log(speeds), np.log(flux_v), 1)[0])
     return ScalingExponents(exponent_delta_x=exp_dx, exponent_v_light=exp_v)

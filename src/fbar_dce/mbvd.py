@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UnderflowError
+from .errors import ConfigError, UnderflowError, positive_frequencies
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,6 @@ class MbvdParams:
                 raise ConfigError(f"mbvd.{name} must be non-negative")
 
 
-def _require_positive_omega(omega) -> None:
-    if np.any(np.asarray(omega) <= 0.0):
-        raise ConfigError("omega must be strictly positive")
-
-
 def motional_impedance(p: MbvdParams, omega):
     """Series-branch impedance r_m + i*(omega*l_m - 1/(omega*c_m)) [Ohm].
 
@@ -67,18 +62,14 @@ def motional_impedance(p: MbvdParams, omega):
     omega : float or ndarray
         Angular frequency [rad/s] (> 0).
     """
-    _require_positive_omega(omega)
-    w = np.asarray(omega, dtype=float)
-    z = p.r_m + 1j * (w * p.l_m - 1.0 / (w * p.c_m))
-    return complex(z) if np.ndim(omega) == 0 else z
+    w = positive_frequencies(omega)
+    return p.r_m + 1j * (w * p.l_m - 1.0 / (w * p.c_m))
 
 
 def plate_impedance(p: MbvdParams, omega):
     """Plate-branch impedance r_0 - i/(omega*c_plate) [Ohm]."""
-    _require_positive_omega(omega)
-    w = np.asarray(omega, dtype=float)
-    z = p.r_0 - 1j / (w * p.c_plate)
-    return complex(z) if np.ndim(omega) == 0 else z
+    w = positive_frequencies(omega)
+    return p.r_0 - 1j / (w * p.c_plate)
 
 
 def equivalent_impedance(p: MbvdParams, omega):
@@ -94,14 +85,11 @@ def equivalent_impedance(p: MbvdParams, omega):
     """
     z_m = motional_impedance(p, omega)
     z_0 = plate_impedance(p, omega)
-    total = np.asarray(z_0 + z_m)
+    total = z_0 + z_m
     if np.any(np.abs(total) < 1e-9 * np.abs(z_m)):
         raise UnderflowError("branch cancellation: |z_plate + z_motional| < 1e-9 * |z_motional|")
-    z_eq = z_0 * z_m / (z_0 + z_m)
-    reduction_error = np.abs(z_eq - z_0) / np.abs(z_0)
-    if np.ndim(omega) == 0:
-        return complex(z_eq), float(reduction_error)
-    return z_eq, reduction_error
+    z_eq = z_0 * z_m / total
+    return z_eq, np.abs(z_eq - z_0) / np.abs(z_0)
 
 
 def resonances_and_coupling(p: MbvdParams) -> tuple[float, float, float, float]:
@@ -131,7 +119,7 @@ def composite_quality(p: MbvdParams, omega: float) -> float:
     Both loss channels add reciprocally: 1/Q = omega*c_m*r_m + omega*c_m*r_0.
     Rejects a lossless circuit (r_m = r_0 = 0) as undefined.
     """
-    _require_positive_omega(omega)
+    w = positive_frequencies(omega)
     if p.r_m + p.r_0 == 0.0:
         raise ConfigError("composite quality undefined for a lossless circuit (r_m = r_0 = 0)")
-    return 1.0 / (omega * p.c_m * (p.r_m + p.r_0))
+    return 1.0 / (w * p.c_m * (p.r_m + p.r_0))

@@ -88,11 +88,6 @@ class FbarGeometry:
         if not self.omega_m > 0.0:
             raise ConfigError("geometry.omega_m must be strictly positive")
 
-    @property
-    def damping_rate(self) -> float:
-        """Mechanical energy damping rate gamma = omega_m / quality [rad/s]."""
-        return self.omega_m / self.quality
-
 
 @dataclass(frozen=True)
 class DriveParams:
@@ -164,8 +159,7 @@ def mechanical_susceptibility(omega, omega_m: float, gamma: float):
     if gamma == 0.0 and np.any(np.asarray(omega) == omega_m):
         raise UnderflowError("susceptibility pole: gamma = 0 at omega = omega_m")
     denom = omega_m**2 - np.asarray(omega, dtype=float) ** 2 - 1j * gamma * np.asarray(omega, dtype=float)
-    result = 1.0 / denom
-    return complex(result) if np.ndim(omega) == 0 else result
+    return 1.0 / denom
 
 
 def driven_amplitude(mat: MaterialProps, geo: FbarGeometry, drv: DriveParams) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, TWO_PI
-from .errors import ConfigError, GuardBandError
+from .errors import ConfigError, GuardBandError, positive_frequencies
 from .piezo import DriveParams
 
 _SQRT_2PI = math.sqrt(TWO_PI)
@@ -110,18 +110,16 @@ def s_coefficient(delta_c: float, z0: float, omega1, omega2):
     w1 = np.asarray(omega1, dtype=float)
     w2 = np.asarray(omega2, dtype=float)
     active = (w1 > 0.0) & (w2 > 0.0)
-    value = np.where(active, -1j * delta_c * z0 * np.sqrt(np.abs(w1) * np.abs(w2)), 0.0 + 0.0j)
-    if np.ndim(omega1) == 0 and np.ndim(omega2) == 0:
-        return complex(value)
-    return value
+    return np.where(active, -1j * delta_c * z0 * np.sqrt(np.abs(w1) * np.abs(w2)), 0.0 + 0.0j)
 
 
-def _tones(cfg: SourceConfig) -> list[tuple[float, float, float]]:
+def tones(cfg: SourceConfig) -> list[tuple[float, float, float]]:
     """Sinusoid decomposition of C(t)V(t): list of (amplitude, frequency, phase).
 
     C(t)V(t) = sum_k A_k * cos(nu_k*t + phi_k) with the product cosine split
     into sum and difference tones. Tones at zero frequency or zero amplitude
-    carry no weight in the derivative and are dropped.
+    carry no weight in the derivative and are dropped. This is the one tone
+    list: the source terms, the line weights and the flux guard bands use it.
     """
     drv, cap = cfg.drive, cfg.cap
     raw = [
@@ -129,13 +127,13 @@ def _tones(cfg: SourceConfig) -> list[tuple[float, float, float]]:
         (cap.delta_c * drv.v_pp / 2.0, cap.omega_m + drv.omega_d, drv.phase),
         (cap.delta_c * drv.v_pp / 2.0, cap.omega_m - drv.omega_d, -drv.phase),
     ]
-    tones = []
+    kept = []
     for amp, nu, phi in raw:
         if nu < 0.0:  # cos is even: fold onto a positive frequency
             nu, phi = -nu, -phi
         if amp != 0.0 and nu != 0.0:
-            tones.append((amp, nu, phi))
-    return tones
+            kept.append((amp, nu, phi))
+    return kept
 
 
 def _turn_on_jump(cfg: SourceConfig) -> float:
@@ -153,9 +151,9 @@ def source_time(cfg: SourceConfig, t):
     if np.any(tt < 0.0) or np.any(tt > cfg.window_time):
         raise ConfigError("t outside [0, window_time]")
     total = np.zeros_like(tt)
-    for amp, nu, phi in _tones(cfg):
+    for amp, nu, phi in tones(cfg):
         total = total - amp * nu * np.sin(nu * tt + phi)
-    return float(total) if np.ndim(t) == 0 else total
+    return total
 
 
 def _window_kernel(u, window_time: float):
@@ -176,17 +174,14 @@ def windowed_source_transform(cfg: SourceConfig, omega):
     Valid at any omega > 0, including on the coherent drive lines where the
     value grows linearly with the window length.
     """
-    w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0.0):
-        raise ConfigError("omega must be strictly positive")
+    w = positive_frequencies(omega)
     total = np.full_like(w, _turn_on_jump(cfg), dtype=complex)
-    for amp, nu, phi in _tones(cfg):
+    for amp, nu, phi in tones(cfg):
         total = total + (0.5j * amp * nu) * (
             np.exp(1j * phi) * _window_kernel(w + nu, cfg.window_time)
             - np.exp(-1j * phi) * _window_kernel(w - nu, cfg.window_time)
         )
-    result = total / _SQRT_2PI
-    return complex(result) if np.ndim(omega) == 0 else result
+    return total / _SQRT_2PI
 
 
 def source_spectrum(cfg: SourceConfig, omega):
@@ -196,24 +191,17 @@ def source_spectrum(cfg: SourceConfig, omega):
     lines at the drive tones are split off; it is what the photon-flux
     assembly consumes. Raises GuardBandError within guard_band of any tone.
     """
-    w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0.0):
-        raise ConfigError("omega must be strictly positive")
-    if cfg.drive.v_pp == 0.0:
-        zero = np.zeros_like(w, dtype=complex)
-        return complex(zero) if np.ndim(omega) == 0 else zero
-    for _, nu, _ in _tones(cfg):
+    w = positive_frequencies(omega)
+    total = np.full_like(w, _turn_on_jump(cfg), dtype=complex)
+    for amp, nu, phi in tones(cfg):
         if np.any(np.abs(w - nu) < cfg.guard_band):
             raise GuardBandError(
                 f"omega within guard band ({cfg.guard_band:.3e} rad/s) of drive tone at {nu:.6e} rad/s"
             )
-    total = np.full_like(w, _turn_on_jump(cfg), dtype=complex)
-    for amp, nu, phi in _tones(cfg):
         total = total - (amp * nu / 2.0) * (
             np.exp(1j * phi) / (w + nu) - np.exp(-1j * phi) / (w - nu)
         )
-    result = total / _SQRT_2PI
-    return complex(result) if np.ndim(omega) == 0 else result
+    return total / _SQRT_2PI
 
 
 def line_weights(cfg: SourceConfig) -> dict[float, complex]:
@@ -224,14 +212,11 @@ def line_weights(cfg: SourceConfig) -> dict[float, complex]:
     """
     return {
         nu: -0.5j * math.pi * amp * nu * np.exp(-1j * phi) / _SQRT_2PI
-        for amp, nu, phi in _tones(cfg)
+        for amp, nu, phi in tones(cfg)
     }
 
 
 def h_coefficient(omega, cfg: SourceConfig, line: LineParams):
     """Drive-sourced emission amplitude -i * sqrt(4*pi*z0/(hbar*omega)) * source_spectrum."""
-    w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0.0):
-        raise ConfigError("omega must be strictly positive")
-    result = -1j * np.sqrt(4.0 * math.pi * line.z0 / (HBAR * w)) * source_spectrum(cfg, omega)
-    return complex(result) if np.ndim(omega) == 0 else result
+    w = positive_frequencies(omega)
+    return -1j * np.sqrt(4.0 * math.pi * line.z0 / (HBAR * w)) * source_spectrum(cfg, w)

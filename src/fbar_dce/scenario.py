@@ -25,22 +25,36 @@ from .piezo import DriveParams, FbarGeometry, MaterialProps, delta_capacitance, 
 from .scatter import LineParams, SourceConfig, TimeVaryingCap, effective_length
 from .squeeze import LcParams
 
-_NUMBER_SCHEMA: dict[str, tuple[str, ...]] = {
-    "material": (
-        "youngs_modulus_pa",
-        "density_kg_m3",
-        "d33_m_per_v",
-        "poisson_ratio",
-        "sound_speed_m_s",
-        "permittivity_f_m",
-    ),
-    "geometry": ("t_piezo_m", "area_m2", "quality", "omega_m_hz"),
-    "drive": ("v_pp_volts", "phase_rad", "omega_d_hz"),
-    "mbvd": ("c_m_farad", "l_m_henry", "r_m_ohm", "r_0_ohm", "r_s_ohm", "c_plate_farad"),
-    "cavity": ("length_d_m", "v_light_m_s", "z0_ohm", "omega_coupling_hz"),
-    "line": ("z0_ohm", "v_light_m_s"),
-    "environment": ("temperature_k",),
-    "grid": ("omega_min_hz", "omega_max_hz", "points"),
+# {section: {raw key: constructor field}}; keys ending in _hz are converted to
+# rad/s on load, and cavity.z0_ohm is only checked against line.z0_ohm
+_NUMBER_SCHEMA: dict[str, dict[str, str | None]] = {
+    "material": {
+        "youngs_modulus_pa": "youngs_modulus",
+        "density_kg_m3": "density",
+        "d33_m_per_v": "d33",
+        "poisson_ratio": "poisson",
+        "sound_speed_m_s": "sound_speed",
+        "permittivity_f_m": "permittivity",
+    },
+    "geometry": {"t_piezo_m": "t_piezo", "area_m2": "area", "quality": "quality", "omega_m_hz": "omega_m"},
+    "drive": {"v_pp_volts": "v_pp", "phase_rad": "phase", "omega_d_hz": "omega_d"},
+    "mbvd": {
+        "c_m_farad": "c_m",
+        "l_m_henry": "l_m",
+        "r_m_ohm": "r_m",
+        "r_0_ohm": "r_0",
+        "r_s_ohm": "r_s",
+        "c_plate_farad": "c_plate",
+    },
+    "cavity": {
+        "length_d_m": "length_d",
+        "v_light_m_s": "v_light",
+        "z0_ohm": None,
+        "omega_coupling_hz": "omega_coupling",
+    },
+    "line": {"z0_ohm": "z0", "v_light_m_s": "v_light"},
+    "environment": {"temperature_k": "temperature"},
+    "grid": {"omega_min_hz": "omega_min", "omega_max_hz": "omega_max", "points": "points"},
 }
 
 PRESET_NAMES = ("low-q", "high-q", "metamaterial")
@@ -173,55 +187,30 @@ def scenario_from_raw(raw: dict) -> Scenario:
         section: {key: _require_number(raw[section], key, f"{section}.{key}") for key in keys}
         for section, keys in _NUMBER_SCHEMA.items()
     }
-    material = MaterialProps(
-        youngs_modulus=num["material"]["youngs_modulus_pa"],
-        density=num["material"]["density_kg_m3"],
-        d33=num["material"]["d33_m_per_v"],
-        poisson=num["material"]["poisson_ratio"],
-        sound_speed=num["material"]["sound_speed_m_s"],
-        permittivity=num["material"]["permittivity_f_m"],
-    )
-    geometry = FbarGeometry(
-        t_piezo=num["geometry"]["t_piezo_m"],
-        area=num["geometry"]["area_m2"],
-        quality=num["geometry"]["quality"],
-        omega_m=TWO_PI * num["geometry"]["omega_m_hz"],
-    )
-    drive = DriveParams(
-        v_pp=num["drive"]["v_pp_volts"],
-        phase=num["drive"]["phase_rad"],
-        omega_d=TWO_PI * num["drive"]["omega_d_hz"],
-    )
-    mbvd = MbvdParams(
-        c_m=num["mbvd"]["c_m_farad"],
-        l_m=num["mbvd"]["l_m_henry"],
-        r_m=num["mbvd"]["r_m_ohm"],
-        r_0=num["mbvd"]["r_0_ohm"],
-        r_s=num["mbvd"]["r_s_ohm"],
-        c_plate=num["mbvd"]["c_plate_farad"],
-    )
+    fields = {
+        section: {
+            field: TWO_PI * num[section][key] if key.endswith("_hz") else num[section][key]
+            for key, field in keys.items()
+            if field is not None
+        }
+        for section, keys in _NUMBER_SCHEMA.items()
+    }
+    material = MaterialProps(**fields["material"])
+    geometry = FbarGeometry(**fields["geometry"])
+    drive = DriveParams(**fields["drive"])
+    mbvd = MbvdParams(**fields["mbvd"])
     for key in ("z0_ohm", "v_light_m_s"):
         if num["cavity"][key] != num["line"][key]:
             raise ConfigError(f"cavity.{key} must equal line.{key}")
-    line = LineParams(z0=num["line"]["z0_ohm"], v_light=num["line"]["v_light_m_s"])
-    cavity = CavityParams(
-        length_d=num["cavity"]["length_d_m"],
-        v_light=num["cavity"]["v_light_m_s"],
-        omega_coupling=TWO_PI * num["cavity"]["omega_coupling_hz"],
-        l_eff=effective_length(mbvd.c_plate, line),
-    )
-    env = ThermalEnv(temperature=num["environment"]["temperature_k"])
+    line = LineParams(**fields["line"])
+    cavity = CavityParams(**fields["cavity"], l_eff=effective_length(mbvd.c_plate, line))
+    env = ThermalEnv(**fields["environment"])
     if not isinstance(raw["grid"]["points"], int) or raw["grid"]["points"] < 2:
         raise ConfigError("field grid.points must be an integer >= 2")
-    grid = GridSpec(
-        omega_min=TWO_PI * num["grid"]["omega_min_hz"],
-        omega_max=TWO_PI * num["grid"]["omega_max_hz"],
-        points=raw["grid"]["points"],
-    )
+    grid = GridSpec(**{**fields["grid"], "points": raw["grid"]["points"]})
     if not 0.0 < grid.omega_min < grid.omega_max < geometry.omega_m:
         raise ConfigError("grid must satisfy 0 < omega_min < omega_max < geometry omega_m")
-    window_time = float(raw["window_time_s"])
-    # window invariant is enforced by SourceConfig below
+    window_time = float(raw["window_time_s"])  # its invariant is enforced by SourceConfig below
     scenario = Scenario(
         name=raw["name"],
         material=material,

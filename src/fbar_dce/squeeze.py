@@ -69,8 +69,6 @@ def inverse_capacitance_series(p: LcParams, t) -> tuple:
     c = np.cos(p.omega_m * np.asarray(t, dtype=float))
     series = 1.0 / p.cap_total + (p.cap_mirror * p.delta_x / (p.cap_total**2 * p.gap)) * c
     exact = 1.0 / (p.cap_cavity + p.cap_mirror * (1.0 - (p.delta_x / p.gap) * c))
-    if np.ndim(t) == 0:
-        return float(series), float(exact)
     return series, exact
 
 

@@ -27,7 +27,7 @@ from fbar_dce.flux import (
     vc_ratio,
 )
 from fbar_dce.piezo import DriveParams
-from fbar_dce.scatter import LineParams, SourceConfig, TimeVaryingCap
+from fbar_dce.scatter import LineParams, SourceConfig, TimeVaryingCap, source_spectrum
 from fbar_dce.scenario import grid_array, preset_raw, scenario_from_raw, source_config
 
 OMEGA_M = TWO_PI * 4.2e9
@@ -60,6 +60,14 @@ def test_thermal_occupation_zero_temperature():
     assert thermal_occupation(0.5 * OMEGA_M, ThermalEnv(0.0)) == 0.0
     grid = np.linspace(0.1, 0.9, 7) * OMEGA_M
     assert np.array_equal(thermal_occupation(grid, ThermalEnv(0.0)), np.zeros(7))
+
+
+def test_subnormal_temperature_spectrum_has_no_thermal_photons():
+    # k_B*T underflows to 0, so hbar*omega/(k_B*T) is inf: zero occupation, not a breakdown
+    table = output_spectrum(_half_point(), CAV, CFG, LINE, ThermalEnv(1e-320))
+    assert table.flags == ("",)
+    assert table.n_thermal[0] == 0.0
+    assert table.n_total[0] == table.n_dce[0]
 
 
 def test_thermal_occupation_matches_closed_form():
@@ -215,6 +223,22 @@ def test_unresolvable_guard_collision_blocks_rows():
     assert np.array_equal(table.omega, grid)
     for column in (table.n_total, table.n_dce, table.n_thermal, table.n_mech_only):
         assert np.all(np.isnan(column))
+
+
+def test_zero_amplitude_sidebands_are_not_guarded():
+    # With delta_c = 0 the sidebands at |omega_m -+ omega_d| carry no line, so
+    # the grid around the lower one (omega_m / 2) is neither shifted nor blocked,
+    # exactly as source_spectrum accepts it.
+    sc = scenario_from_raw(preset_raw("low-q"))
+    drive = DriveParams(v_pp=5e-4, omega_d=1.5 * OMEGA_M)
+    cfg = SourceConfig(drive=drive, cap=TimeVaryingCap(4e-13, 0.0, OMEGA_M), window_time=1e-6)
+    grid = np.linspace(0.45, 0.55, 2001) * OMEGA_M
+    table = output_spectrum(grid, sc.cavity, cfg, sc.line, sc.env)
+    assert set(table.flags) == {""}
+    assert np.array_equal(table.omega, grid)
+    for column in (table.n_total, table.n_dce, table.n_thermal, table.n_mech_only):
+        assert np.all(np.isfinite(column))
+    assert np.all(np.isfinite(source_spectrum(cfg, grid)))
 
 
 def _scalar_guard_resolution(grid, cfg):

@@ -1,7 +1,8 @@
 """What the benchmark in `perfbench/` relies on from the package.
 
 The tracer looks up every function it wraps by name, so a rename or merge in
-the package must fail here and not only when `--trace 1` runs. The sweep rows
+the package must fail here and not only when `--trace 1` runs; so must renaming
+the parameter it counts points by. The sweep rows
 the benchmark asks for (its seeded log ranges on every axis and preset) must
 equal an evaluation of the same configuration built by a separate route.
 """
@@ -9,10 +10,12 @@ equal an evaluation of the same configuration built by a separate route.
 import copy
 import importlib
 import importlib.util
+import inspect
 import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +43,24 @@ def test_every_traced_name_resolves():
         module = importlib.import_module(f"fbar_dce.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"fbar_dce.{layer}.{name}"
+
+
+# the functions whose point counts feed the `*_points` and `*_per_row` metrics
+POINT_COUNTED = (
+    "flux.output_spectrum",
+    "cavity.mode_response",
+    "cavity.reflection_coefficient",
+    "scatter.s_coefficient",
+    "scatter.h_coefficient",
+    "squeeze.evolve_series",
+)
+
+
+@pytest.mark.parametrize("name", POINT_COUNTED)
+def test_point_counted_functions_keep_a_point_parameter(name):
+    layer, fname = name.split(".")
+    params = inspect.signature(getattr(importlib.import_module(f"fbar_dce.{layer}"), fname)).parameters
+    assert set(params) & set(TRACER.POINT_PARAMS), f"{name} has none of {TRACER.POINT_PARAMS}"
 
 
 def _expected_row(preset: str, axis: str, value: float, pin: bool) -> str:
