@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import TWO_PI
-from .errors import ConfigError, ConvergenceError, UnderflowError, positive_frequencies
+from .errors import ConfigError, ConvergenceError, UnderflowError, check_fields, positive_frequencies
 from .scatter import LineParams, SourceConfig, TimeVaryingCap, h_coefficient, s_coefficient
 
 _MAX_REFINE_ITERATIONS = 200
@@ -45,12 +45,7 @@ class CavityParams:
     omega_0: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.length_d > 0.0 and self.v_light > 0.0):
-            raise ConfigError("cavity.length_d and v_light must be strictly positive")
-        if not self.omega_coupling > 0.0:
-            raise ConfigError("cavity.omega_coupling must be strictly positive")
-        if self.l_eff < 0.0:
-            raise ConfigError("cavity.l_eff must be non-negative")
+        check_fields(self, "cavity", positive=("length_d", "v_light", "omega_coupling"), non_negative=("l_eff",))
         object.__setattr__(self, "d_eff", self.length_d + self.l_eff)
         object.__setattr__(self, "omega_0", TWO_PI * self.v_light / self.d_eff)
 
@@ -221,10 +216,8 @@ def dressed_coefficients(
     (with and without the capacitance modulation) by the inverse denominator.
     Raises UnderflowError when ||R| - 1| > 1e-10 (the lossless-cavity invariant).
     """
-    w = np.asarray(omega, dtype=float)
     om = cfg.cap.omega_m
-    if np.any(w <= 0.0) or np.any(w >= om):
-        raise ConfigError("dressed_coefficients requires 0 < omega < modulation frequency")
+    w = positive_frequencies(omega, below=om)
     den = _denominator(w, cav)
     r = _reflection(w, den, cav)
     defect = np.abs(np.abs(r) - 1.0)

@@ -153,8 +153,6 @@ def _run_sweep(sc: Scenario, args) -> None:
             values.append(float(chunk))
         except ValueError as exc:
             raise ConfigError(f"sweep value {chunk!r} is not a number") from exc
-    if not values:
-        raise ConfigError("sweep requires at least one value")
     if any(not np.isfinite(v) or v <= 0.0 for v in values):
         raise ConfigError("sweep values must be positive and finite")
     om = sc.geometry.omega_m
@@ -271,7 +269,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:  # float ** and / raise on overflow and exact zero
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

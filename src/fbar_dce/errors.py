@@ -41,9 +41,20 @@ class ConvergenceError(NumericalError):
     """Iterative refinement failed to converge within its iteration budget."""
 
 
-def positive_frequencies(omega) -> np.ndarray:
-    """omega as a float array; ConfigError unless every entry is > 0 (NaN is rejected too)."""
+def positive_frequencies(omega, below: float = np.inf) -> np.ndarray:
+    """omega as a float array; ConfigError unless every entry lies in (0, below) (NaN is rejected too)."""
     w = np.asarray(omega, dtype=float)
-    if not np.all(w > 0.0):
-        raise ConfigError("omega must be strictly positive")
+    if not np.all((w > 0.0) & (w < below)):
+        bound = "strictly positive" if below == np.inf else f"inside (0, {below:.6e}) rad/s"
+        raise ConfigError(f"omega must be {bound}")
     return w
+
+
+def check_fields(obj, section: str, positive=(), non_negative=()) -> None:
+    """ConfigError unless each named field of obj is > 0 (positive) or >= 0 (non_negative); NaN fails both."""
+    for name in positive:
+        if not getattr(obj, name) > 0.0:
+            raise ConfigError(f"{section}.{name} must be strictly positive")
+    for name in non_negative:
+        if not getattr(obj, name) >= 0.0:
+            raise ConfigError(f"{section}.{name} must be non-negative")

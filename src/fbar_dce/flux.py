@@ -26,7 +26,7 @@ import numpy as np
 
 from .cavity import CavityParams, dressed_coefficients
 from .constants import HBAR, K_B
-from .errors import ConfigError, NumericalError, positive_frequencies
+from .errors import ConfigError, NumericalError, check_fields, positive_frequencies
 from .scatter import LineParams, SourceConfig, h_coefficient, s_coefficient, tones
 
 _NEGATIVE_ROUNDOFF_FLOOR = -1e-15
@@ -39,8 +39,7 @@ class ThermalEnv:
     temperature: float
 
     def __post_init__(self):
-        if self.temperature < 0.0:
-            raise ConfigError("environment temperature must be non-negative")
+        check_fields(self, "environment", non_negative=("temperature",))
 
 
 @dataclass(frozen=True)
@@ -110,14 +109,12 @@ def output_spectrum(
     be moved clear are flagged "guard-band" and are not evaluated (NaN in
     every occupation column).
     """
-    w = np.asarray(grid, dtype=float)
     om = cfg.cap.omega_m
+    w = positive_frequencies(grid, below=om)
     if w.ndim != 1 or len(w) == 0:
         raise ConfigError("grid must be a non-empty 1-d array")
-    if np.any(np.diff(w) <= 0.0):
+    if not np.all(np.diff(w) > 0.0):
         raise ConfigError("grid must be strictly increasing")
-    if w[0] <= 0.0 or w[-1] >= om:
-        raise ConfigError("grid must lie strictly inside (0, modulation frequency)")
     try:  # an overflowing or invalid evaluation is one NumericalError, not numpy warnings
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             w, flags = _resolve_guard_collisions(w, cfg)
@@ -149,7 +146,7 @@ def output_spectrum(
         raise NumericalError(
             f"mechanical-only flux negative beyond round-off at {int(np.sum(bad))} grid points"
         )
-    n_mech_only = np.where(np.isnan(n_mech_only), n_mech_only, np.maximum(n_mech_only, 0.0))
+    n_mech_only = np.maximum(n_mech_only, 0.0)  # NaN on guard-band rows stays NaN
 
     return SpectrumTable(
         omega=w,
@@ -194,7 +191,7 @@ def impedance_scaling_check(
 
 def vc_ratio(delta_x: float, omega_m: float, v_light: float) -> float:
     """Peak mirror velocity over signal speed: delta_x * omega_m / v_light."""
-    if delta_x < 0.0 or omega_m <= 0.0 or v_light <= 0.0:
+    if not (delta_x >= 0.0 and omega_m > 0.0 and v_light > 0.0):
         raise ConfigError("vc_ratio requires delta_x >= 0 and positive frequencies/speeds")
     return delta_x * omega_m / v_light
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UnderflowError, positive_frequencies
+from .errors import ConfigError, UnderflowError, check_fields, positive_frequencies
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,7 @@ class MbvdParams:
     c_plate: float
 
     def __post_init__(self):
-        for name in ("c_m", "l_m", "c_plate"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"mbvd.{name} must be strictly positive")
-        for name in ("r_m", "r_0", "r_s"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"mbvd.{name} must be non-negative")
+        check_fields(self, "mbvd", positive=("c_m", "l_m", "c_plate"), non_negative=("r_m", "r_0", "r_s"))
 
 
 def motional_impedance(p: MbvdParams, omega):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import EPS0
-from .errors import ConfigError, UnderflowError, ValidityError
+from .errors import ConfigError, UnderflowError, ValidityError, check_fields
 
 # Fractional displacement bound below which the first-order expansion of the
 # plate capacitance keeps the discarded quadratic term under 1e-4 relative.
@@ -48,12 +48,12 @@ class MaterialProps:
     permittivity: float
 
     def __post_init__(self):
-        for name in ("youngs_modulus", "density", "d33", "poisson", "sound_speed", "permittivity"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"material.{name} must be strictly positive")
+        check_fields(
+            self, "material", positive=("youngs_modulus", "density", "d33", "poisson", "sound_speed", "permittivity")
+        )
         if not 0.0 < self.poisson < 0.5:
             raise ConfigError("material.poisson must lie in (0, 0.5)")
-        if self.permittivity < EPS0:
+        if not self.permittivity >= EPS0:
             raise ConfigError("material.permittivity must be at least the vacuum permittivity")
 
 
@@ -79,14 +79,9 @@ class FbarGeometry:
     omega_m: float
 
     def __post_init__(self):
-        if not self.t_piezo > 0.0:
-            raise ConfigError("geometry.t_piezo must be strictly positive")
-        if not self.area > 0.0:
-            raise ConfigError("geometry.area must be strictly positive")
+        check_fields(self, "geometry", positive=("t_piezo", "area", "omega_m"))
         if not self.quality >= 1.0:
             raise ConfigError("geometry.quality must be >= 1")
-        if not self.omega_m > 0.0:
-            raise ConfigError("geometry.omega_m must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -108,10 +103,9 @@ class DriveParams:
     omega_d: float = 0.0
 
     def __post_init__(self):
-        if self.v_pp < 0.0:
-            raise ConfigError("drive.v_pp must be non-negative")
-        if not self.omega_d > 0.0:
-            raise ConfigError("drive.omega_d must be strictly positive")
+        check_fields(self, "drive", positive=("omega_d",), non_negative=("v_pp",))
+        if not np.isfinite(self.phase):
+            raise ConfigError("drive.phase must be finite")
 
 
 def static_response(mat: MaterialProps, geo: FbarGeometry, v: float) -> tuple[float, float]:
@@ -154,7 +148,7 @@ def mechanical_susceptibility(omega, omega_m: float, gamma: float):
     """
     if not omega_m > 0.0:
         raise ConfigError("omega_m must be strictly positive")
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise ConfigError("gamma must be non-negative")
     if gamma == 0.0 and np.any(np.asarray(omega) == omega_m):
         raise UnderflowError("susceptibility pole: gamma = 0 at omega = omega_m")
@@ -215,7 +209,7 @@ def delta_capacitance(
     (c0, delta_c) : tuple of float
         Static capacitance and modulation amplitude delta_c = c0 * delta_x / t [F].
     """
-    if delta_x < 0.0:
+    if not delta_x >= 0.0:
         raise ConfigError("delta_x must be non-negative")
     if delta_x >= geo.t_piezo * CAP_EXPANSION_BOUND:
         raise ValidityError(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, TWO_PI
-from .errors import ConfigError, GuardBandError, positive_frequencies
+from .errors import ConfigError, GuardBandError, check_fields, positive_frequencies
 from .piezo import DriveParams
 
 _SQRT_2PI = math.sqrt(TWO_PI)
@@ -40,12 +40,9 @@ class TimeVaryingCap:
     omega_m: float
 
     def __post_init__(self):
-        if not self.c0 > 0.0:
-            raise ConfigError("cap.c0 must be strictly positive")
+        check_fields(self, "cap", positive=("c0", "omega_m"))
         if not 0.0 <= self.delta_c < self.c0:
             raise ConfigError("cap.delta_c must satisfy 0 <= delta_c < c0")
-        if not self.omega_m > 0.0:
-            raise ConfigError("cap.omega_m must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -56,8 +53,7 @@ class LineParams:
     v_light: float
 
     def __post_init__(self):
-        if not (self.z0 > 0.0 and self.v_light > 0.0):
-            raise ConfigError("line.z0 and line.v_light must be strictly positive")
+        check_fields(self, "line", positive=("z0", "v_light"))
 
     @property
     def cap_density(self) -> float:
@@ -148,7 +144,7 @@ def source_time(cfg: SourceConfig, t):
     pointwise; at t = 0 the one-sided derivative limit is returned.
     """
     tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0.0) or np.any(tt > cfg.window_time):
+    if not np.all((tt >= 0.0) & (tt <= cfg.window_time)):
         raise ConfigError("t outside [0, window_time]")
     total = np.zeros_like(tt)
     for amp, nu, phi in tones(cfg):

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, RwaViolationError, ValidityError
+from .errors import ConfigError, RwaViolationError, ValidityError, check_fields
 from .piezo import CAP_EXPANSION_BOUND
 
 RK4_STEP_BOUND = 5e-4  # dimensionless step 2*lambda*h per integrator step
@@ -35,11 +35,9 @@ class LcParams:
     omega_m: float
 
     def __post_init__(self):
-        for name in ("inductance", "cap_cavity", "cap_mirror", "gap", "omega_m"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"lc.{name} must be strictly positive")
-        if self.delta_x < 0.0:
-            raise ConfigError("lc.delta_x must be non-negative")
+        check_fields(
+            self, "lc", positive=("inductance", "cap_cavity", "cap_mirror", "gap", "omega_m"), non_negative=("delta_x",)
+        )
         if self.delta_x >= self.gap * CAP_EXPANSION_BOUND:
             raise ValidityError("lc.delta_x must stay below gap/100 for the series expansion")
 
@@ -88,7 +86,7 @@ def squeeze_coupling(p: LcParams) -> float:
 
 def analytic_photon_number(lam: float, t: float) -> float:
     """Mean photons grown from vacuum: sinh^2(2*lambda*t)."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ConfigError("t must be non-negative")
     return math.sinh(2.0 * lam * t) ** 2
 
@@ -140,9 +138,9 @@ def evolve_series(lam: float, times, dim: int = 60) -> list[EvolutionResult]:
     the top two levels beyond 1e-8 sets the truncation flag.
     """
     ts = np.asarray(times, dtype=float)
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ConfigError("lam must be non-negative")
-    if np.any(ts < 0.0) or np.any(np.diff(ts) <= 0.0):
+    if not (np.all(ts >= 0.0) and np.all(np.diff(ts) > 0.0)):
         raise ConfigError("times must be non-negative and strictly increasing")
     if dim < 16:
         raise ConfigError("dim must be >= 16")

@@ -141,6 +141,27 @@ def test_non_finite_scenario_number_exit_code_2(tmp_path, capsys, section, key, 
     assert not out.exists()
 
 
+def _overflowing_frequency(raw):
+    raw["geometry"]["omega_m_hz"] = raw["drive"]["omega_d_hz"] = 1e160  # omega_m**2 overflows
+
+
+def _vanishing_film_mass(raw):
+    raw["material"]["density_kg_m3"] = 1e-300  # density * t_piezo underflows to an exact zero
+    raw["geometry"]["t_piezo_m"] = 1e-160
+
+
+@pytest.mark.parametrize("command", ["spectrum", "squeeze"])
+@pytest.mark.parametrize("mutate", [_overflowing_frequency, _vanishing_film_mass])
+def test_finite_scenario_number_breaking_float_arithmetic_exit_code_3(tmp_path, capsys, mutate, command):
+    # Python floats raise OverflowError / ZeroDivisionError where numpy would warn
+    path = _write_scenario(tmp_path, mutate)
+    out = tmp_path / "x.csv"
+    assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_flag_validation_exit_code_2(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     assert cli.main(["spectrum", "--points", "1", "--out", out]) == 2
