@@ -31,32 +31,30 @@ from .scenario import (
 _SWEEP_AXES = ("v_pp", "q", "z0", "delta_x")
 
 
-def _format_column(values) -> list[str]:
-    # by dtype: text as is, bools 1/0, ints as digits, floats with 17 significant digits
-    column = np.asarray(values)
-    cells = column.tolist()
-    kind = column.dtype.kind
-    if kind == "U":
-        return cells
-    if kind == "b":
-        return ["1" if v else "0" for v in cells]
-    if kind in "iu":
-        return list(map(str, cells))
-    return list(map("{:.17g}".format, cells))
+_BLOCK_ROWS = 8192
+# by dtype kind: text as is, bools 1/0, ints as digits, anything else as a float with 17 significant digits
+_CELL_FORMAT = {"U": "%s", "b": "%d", "i": "%d", "u": "%d"}
+
+
+def _table_text(header_lines: list[str], columns: list[str], cells):
+    """Yield the header, then the rows a block of _BLOCK_ROWS at a time, so memory stays bounded."""
+    yield "".join(f"# {line}\n" for line in header_lines) + ",".join(columns) + "\n"
+    for start in range(0, len(cells[0]) if cells else 0, _BLOCK_ROWS):
+        # columns are converted a block at a time: a tuple column (the flags) never becomes one whole array
+        block = [np.asarray(column[start : start + _BLOCK_ROWS]) for column in cells]
+        row = ",".join(_CELL_FORMAT.get(column.dtype.kind, "%.17g") for column in block) + "\n"
+        yield "".join(map(row.__mod__, zip(*(column.tolist() for column in block))))
 
 
 def _write_table(out_path: str, header_lines: list[str], columns: list[str], cells) -> None:
     """Write a CSV table given one sequence of cells per column (none for an empty table)."""
-    lines = [f"# {line}" for line in header_lines]
-    lines.append(",".join(columns))
-    lines.extend(map(",".join, zip(*map(_format_column, cells))))
-    text = "\n".join(lines) + "\n"
+    text = _table_text(header_lines, columns, cells)
     if out_path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
     else:
         try:
             with open(out_path, "w", newline="") as fh:
-                fh.write(text)
+                fh.writelines(text)
         except OSError as exc:
             raise ConfigError(f"cannot write {out_path}: {exc}") from exc
 
@@ -184,17 +182,8 @@ def _run_squeeze(sc: Scenario, args) -> None:
     results = squeeze.evolve_series(lam, times, dim=args.dim)
     rows = []
     for t, res in zip(times, results):
-        rows.append(
-            [
-                t,
-                2.0 * lam * t,
-                squeeze.analytic_photon_number(lam, t),
-                res.mean_photons,
-                res.norm_defect,
-                res.odd_population,
-                res.truncation_flag,
-            ]
-        )
+        closed_form = [t, 2.0 * lam * t, squeeze.analytic_photon_number(lam, t)]
+        rows.append(closed_form + [res.mean_photons, res.norm_defect, res.odd_population, res.truncation_flag])
     header = _header(sc, "squeeze")
     header.append(f"squeeze-rate-rad-s: {lam:.17g}")
     header.append(f"truncation-dim: {args.dim}")

@@ -135,7 +135,7 @@ def mechanical_susceptibility(omega, omega_m: float, gamma: float):
     Parameters
     ----------
     omega : float or ndarray
-        Evaluation angular frequency [rad/s].
+        Evaluation angular frequency [rad/s] (finite; zero and negative are allowed).
     omega_m : float
         Resonance angular frequency [rad/s] (> 0).
     gamma : float
@@ -150,10 +150,12 @@ def mechanical_susceptibility(omega, omega_m: float, gamma: float):
         raise ConfigError("omega_m must be strictly positive")
     if not gamma >= 0.0:
         raise ConfigError("gamma must be non-negative")
-    if gamma == 0.0 and np.any(np.asarray(omega) == omega_m):
+    omega = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(omega)):
+        raise ConfigError("omega must be finite")
+    if gamma == 0.0 and np.any(omega == omega_m):
         raise UnderflowError("susceptibility pole: gamma = 0 at omega = omega_m")
-    denom = omega_m**2 - np.asarray(omega, dtype=float) ** 2 - 1j * gamma * np.asarray(omega, dtype=float)
-    return 1.0 / denom
+    return 1.0 / (omega_m**2 - omega**2 - 1j * gamma * omega)
 
 
 def driven_amplitude(mat: MaterialProps, geo: FbarGeometry, drv: DriveParams) -> float:

@@ -86,6 +86,8 @@ def squeeze_coupling(p: LcParams) -> float:
 
 def analytic_photon_number(lam: float, t: float) -> float:
     """Mean photons grown from vacuum: sinh^2(2*lambda*t)."""
+    if not lam >= 0.0:
+        raise ConfigError("lam must be non-negative")
     if not t >= 0.0:
         raise ConfigError("t must be non-negative")
     return math.sinh(2.0 * lam * t) ** 2

@@ -53,9 +53,13 @@ def test_nan_field_is_config_error(instance, name):
 NAN_GRID = np.array([1e9, math.nan])
 ARGUMENT_CALLS = {
     "delta_capacitance-delta_x": lambda: delta_capacitance(SC.material, SC.geometry, math.nan),
+    "mechanical_susceptibility-omega": lambda: mechanical_susceptibility(math.nan, OMEGA_M, 1e6),
+    "mechanical_susceptibility-omega-array": lambda: mechanical_susceptibility(NAN_GRID, OMEGA_M, 1e6),
     "mechanical_susceptibility-gamma": lambda: mechanical_susceptibility(1e9, OMEGA_M, math.nan),
     "evolve_series-lam": lambda: evolve_series(math.nan, [0.5]),
     "evolve_series-times": lambda: evolve_series(1e6, [0.0, math.nan]),
+    "analytic_photon_number-lam": lambda: analytic_photon_number(math.nan, 1.0),
+    "analytic_photon_number-lam-negative": lambda: analytic_photon_number(-1.0, 1.0),
     "analytic_photon_number-t": lambda: analytic_photon_number(1e6, math.nan),
     "vc_ratio-delta_x": lambda: vc_ratio(math.nan, OMEGA_M, SC.line.v_light),
     "vc_ratio-omega_m": lambda: vc_ratio(1e-12, math.nan, SC.line.v_light),

@@ -1,13 +1,17 @@
 """Command-line interface: exit codes, CSV schema, determinism, physics columns."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fbar_dce
 from fbar_dce import __version__, cli, flux
@@ -348,18 +352,17 @@ def _cell(value):
     return f"{float(value):.17g}"
 
 
-@pytest.mark.parametrize("command", ["spectrum", "decompose"])
-def test_spectrum_bytes_match_cell_by_cell_rule(tmp_path, command):
+def _guard_grid(tmp_path, points):
     # a grid running up to the drive tone with a short window: the last rows
     # are guard-shifted or guard-band (NaN)
     def mutate(raw):
         raw["window_time_s"] = 2e-7
-        raw["grid"].update(omega_max_hz=4.19e9, points=200)
+        raw["grid"].update(omega_max_hz=4.19e9, points=points)
 
-    path = _write_scenario(tmp_path, mutate)
-    out = tmp_path / f"{command}.csv"
-    assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == 0
+    return _write_scenario(tmp_path, mutate)
 
+
+def _cell_by_cell_text(path, command):
     sc = load_scenario(str(path))
     table = flux.output_spectrum(grid_array(sc), sc.cavity, source_config(sc), sc.line, sc.env)
     assert {"guard-band", "guard-shifted"} <= set(table.flags)
@@ -380,7 +383,82 @@ def test_spectrum_bytes_match_cell_by_cell_rule(tmp_path, command):
         lines.append(",".join(_cell(v) for v in row + [table.flags[i]]))
     expected = "\n".join(lines) + "\n"
     assert ",nan," in expected
-    assert out.read_bytes() == expected.encode()
+    return expected
+
+
+@pytest.mark.parametrize("command", ["spectrum", "decompose"])
+def test_spectrum_bytes_match_cell_by_cell_rule(tmp_path, command):
+    path = _guard_grid(tmp_path, 200)
+    out = tmp_path / f"{command}.csv"
+    assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == 0
+    assert out.read_bytes() == _cell_by_cell_text(path, command).encode()
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, None], ids=["1", "7", "default"])
+@pytest.mark.parametrize("command", ["spectrum", "decompose"])
+def test_block_boundaries_keep_cell_by_cell_bytes(tmp_path, monkeypatch, command, block_rows):
+    # 20 000 rows span three default blocks; the guard rows sit in the last one
+    path = _guard_grid(tmp_path, 20_000)
+    if block_rows is not None:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    out = tmp_path / f"{command}.csv"
+    assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == 0
+    assert out.read_bytes() == _cell_by_cell_text(path, command).encode()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--points", "64"],
+        ["decompose", "--points", "64"],
+        ["resonances"],
+        ["sweep", "--axis", "delta_x", "--values", "1e-12,2e-12,5e-12,1e-11,2e-11,5e-11,1e-10,1"],
+        ["squeeze", "--dim", "16", "--samples", "9"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_stdout_bytes_equal_file_bytes(tmp_path, capsys, monkeypatch, args):
+    # 7-row blocks, so every table but the shortest is written in several pieces
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    out = tmp_path / "table.csv"
+    assert cli.main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(args + ["--out", "-"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def _writer_peak_bytes(path, rows):
+    # six float columns and a flags column passed as a tuple of str, as output_spectrum returns it
+    rng = np.random.default_rng(0)
+    flags = tuple(np.where(rng.random(rows) < 0.02, "guard-band", "").tolist())
+    cells = [rng.standard_normal(rows) for _ in range(6)] + [flags]
+    tracemalloc.start()
+    try:
+        cli._write_table(str(path), ["writer memory"], [f"c{i}" for i in range(7)], cells)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_memory_does_not_grow_with_rows(tmp_path):
+    small = _writer_peak_bytes(tmp_path / "small.csv", 20_000)
+    large = _writer_peak_bytes(tmp_path / "large.csv", 160_000)
+    assert large < 1.5 * small, (small, large)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.integers(min_value=-(10**17), max_value=10**17).map(float)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072009e-308, 1e16]),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+def test_percent_template_matches_cell_rule(x, b, i):
+    # the rule the row template relies on: % formatting gives the cell text of format() and str()
+    assert "%.17g" % x == "{:.17g}".format(x)
+    assert "%d" % b == ("1" if b else "0")
+    assert "%d" % i == str(i)
 
 
 def _run_fresh(args):
