@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .brent import find_root
 from .constants import TWO_PI
 from .errors import ConfigError, ConvergenceError, UnderflowError, check_fields, positive_frequencies
 from .scatter import LineParams, SourceConfig, TimeVaryingCap, h_coefficient, s_coefficient
@@ -152,9 +153,11 @@ def cavity_resonances(cav: CavityParams, band: tuple[float, float]) -> list[floa
     intersection with the band and refining with Brent's method finds every
     root exactly once. Returned roots are strictly increasing and satisfy
     |tan - omega_c/omega| < 1e-9 * (omega_c/omega).
-    """
-    from scipy.optimize import brentq  # loaded on demand: only resonance searches need SciPy
 
+    The refinement is `brent.find_root`, a port of SciPy 1.17's `brentq` that
+    gives the same bits (checked by `tests/test_brent.py`), followed by a
+    Newton polish.
+    """
     lo, hi = band
     if not (0.0 < lo < hi):
         raise ConfigError("band must satisfy 0 < lower < upper")
@@ -174,10 +177,8 @@ def cavity_resonances(cav: CavityParams, band: tuple[float, float]) -> list[floa
         if not (ga < 0.0 < gb):  # monotone on the branch: no sign change, no root
             continue
         try:
-            root = brentq(
-                _resonance_mismatch, a, b, args=(cav,), xtol=1e-3, maxiter=_MAX_REFINE_ITERATIONS
-            )
-        except RuntimeError as exc:
+            root = find_root(lambda w: _resonance_mismatch(w, cav), a, b, xtol=1e-3, maxiter=_MAX_REFINE_ITERATIONS)
+        except ConvergenceError as exc:
             raise ConvergenceError(f"resonance refinement failed in ({a:.6e}, {b:.6e})") from exc
         # Newton polish down to the floating-point floor; the mismatch slope
         # (2*pi/omega_0)*sec^2 + omega_c/omega^2 is strictly positive on a branch

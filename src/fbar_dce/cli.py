@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, cavity, flux, scatter, squeeze
+from .brent import minimize_bounded
 from .constants import TWO_PI
 from .errors import ConfigError, NumericalError, SimulationError
 from .scenario import (
@@ -99,8 +100,6 @@ def _run_spectrum(sc: Scenario, args, include_electrical: bool) -> None:
 
 
 def _run_resonances(sc: Scenario, args) -> None:
-    from scipy.optimize import minimize_scalar  # loaded on demand: only this command needs SciPy
-
     om = sc.geometry.omega_m
     band = (sc.grid.omega_min, sc.grid.omega_max)
     roots = cavity.cavity_resonances(sc.cavity, band)
@@ -109,14 +108,10 @@ def _run_resonances(sc: Scenario, args) -> None:
         residual = cavity.resonance_residual(root, sc.cavity)
         # offset to the exact resonance: the nearby local maximum of the mode response
         window = 0.005 * root
-        result = minimize_scalar(
-            lambda w: -abs(cavity.mode_response(w, sc.cavity)),
-            bounds=(root - window, root + window),
-            method="bounded",
-            options={"xatol": 1.0},
+        peak, converged = minimize_bounded(
+            lambda w: -abs(cavity.mode_response(w, sc.cavity)), root - window, root + window, xatol=1.0
         )
-        flag = "" if result.success else "peak-refine-failed"
-        rows.append([i, root, root / om, residual, float(result.x) - root, flag])
+        rows.append([i, root, root / om, residual, peak - root, "" if converged else "peak-refine-failed"])
     _write_table(
         args.out,
         _header(sc, "resonances"),

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fbar_dce import cavity
 from fbar_dce.constants import TWO_PI
 from fbar_dce.errors import ConfigError, ConvergenceError, UnderflowError
 from fbar_dce.cavity import (
@@ -219,6 +220,12 @@ def test_cavity_resonances_empty_band_and_validation():
         cavity_resonances(CAV, (OMEGA_M, 0.05 * OMEGA_M))
     with pytest.raises(ConfigError):
         cavity_resonances(CAV, (0.0, OMEGA_M))
+
+
+def test_cavity_resonances_reports_exhausted_refinement(monkeypatch):
+    monkeypatch.setattr(cavity, "_MAX_REFINE_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError, match="resonance refinement failed"):
+        cavity_resonances(CAV, (0.05 * OMEGA_M, OMEGA_M))
 
 
 def test_resonance_residual_finite_at_tangent_pole():

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, CSV schema, determinism, physics columns."""
 
+import functools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fbar_dce
-from fbar_dce import __version__, cli, flux
+from fbar_dce import __version__, cavity, cli, flux
 from fbar_dce.cavity import cavity_resonances
 from fbar_dce.constants import TWO_PI
 from fbar_dce.flux import ThermalEnv, thermal_occupation
@@ -261,6 +262,21 @@ def test_resonances_command(tmp_path):
     assert all(row[-1] == "" for row in rows)
 
 
+def test_resonances_exhausted_refinement_exits_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(cavity, "_MAX_REFINE_ITERATIONS", 1)
+    assert cli.main(["resonances", "--out", str(tmp_path / "res.csv")]) == 3
+    assert not (tmp_path / "res.csv").exists()
+
+
+def test_resonances_flags_unconverged_peak_refinement(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "minimize_bounded", functools.partial(cli.minimize_bounded, maxfun=2))
+    out = tmp_path / "res.csv"
+    assert cli.main(["resonances", "--out", str(out)]) == 0
+    _, _, rows = _read_table(out)
+    assert len(rows) == 3
+    assert all(row[-1] == "peak-refine-failed" for row in rows)
+
+
 def test_sweep_delta_x_exponent(tmp_path):
     # With the voltage source silenced the vacuum flux is purely mechanical
     # and must scale as amplitude squared.
@@ -483,6 +499,7 @@ def _run_fresh(args):
         ["decompose", "--points", "64"],
         ["sweep", "--axis", "z0", "--values", "55,10000"],
         ["squeeze", "--dim", "16", "--samples", "3"],
+        ["resonances"],
     ],
     ids=lambda args: args[0],
 )
@@ -490,9 +507,9 @@ def test_commands_without_root_search_leave_scipy_unloaded(tmp_path, args):
     assert _run_fresh(args + ["--out", str(tmp_path / "x.csv")]) == (0, False)
 
 
-def test_resonances_loads_scipy_and_keeps_columns(tmp_path):
+def test_resonances_leaves_scipy_unloaded_and_keeps_columns(tmp_path):
     out = tmp_path / "res.csv"
-    assert _run_fresh(["resonances", "--out", str(out)]) == (0, True)
+    assert _run_fresh(["resonances", "--out", str(out)]) == (0, False)
     _, columns, rows = _read_table(out)
     assert columns == [
         "index",
