@@ -215,6 +215,8 @@ def dressed_coefficients(
     omega and omega_m + omega, the lower sideband by the conjugated response
     at omega and the response at omega_m - omega, and the drive-sourced term
     (with and without the capacitance modulation) by the inverse denominator.
+    At v_pp = 0 there are no tones and no turn-on jump, so both drive-sourced
+    terms come out exactly zero from the same formula.
     Raises UnderflowError when ||R| - 1| > 1e-10 (the lossless-cavity invariant).
     """
     om = cfg.cap.omega_m
@@ -229,10 +231,7 @@ def dressed_coefficients(
     a_self = _mode(w, den, cav)
     s1 = s_coefficient(cfg.cap.delta_c, line.z0, w, om + w) * a_self * mode_response(om + w, cav)
     s2 = s_coefficient(cfg.cap.delta_c, line.z0, w, om - w) * np.conj(a_self) * mode_response(om - w, cav)
-    if cfg.drive.v_pp == 0.0:
-        h = h_static = np.zeros_like(w, dtype=complex)
-    else:
-        static = replace(cfg, cap=TimeVaryingCap(cfg.cap.c0, 0.0, om))
-        h = h_coefficient(w, cfg, line) / den
-        h_static = h_coefficient(w, static, line) / den
+    static = replace(cfg, cap=TimeVaryingCap(cfg.cap.c0, 0.0, om))
+    h = h_coefficient(w, cfg, line) / den
+    h_static = h_coefficient(w, static, line) / den
     return DressedCoefficients(r, s1, s2, h, h_static)

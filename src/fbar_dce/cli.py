@@ -1,9 +1,14 @@
 """Command-line front end: deterministic CSV tables for spectra, resonances,
 parameter sweeps and the parametric-model time series.
 
-Exit codes: 0 success, 2 configuration/schema error, 3 numerical failure.
-All floats are emitted with 17 significant digits so identical inputs produce
-byte-identical outputs.
+Each command is a runner in `_COMMANDS`: `run(scenario, args)` gets the loaded,
+overridden scenario, checks its own options, writes nothing and returns
+`(extra_header_lines, columns, cells)`, one sequence of cells per column (an
+empty list for no rows). `main` writes that one table after the common header.
+
+Exit codes: 0 success, 2 configuration/schema error (including a size too
+large to allocate), 3 numerical failure. All floats are emitted with 17
+significant digits so identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ def _write_table(out_path: str, header_lines: list[str], columns: list[str], cel
 
 
 def _header(sc: Scenario, command: str) -> list[str]:
-    omega_0_table = TWO_PI * sc.cavity.v_light / sc.cavity.length_d
     return [
         f"fbar-dce {__version__} {command}",
         f"scenario: {sc.name}",
@@ -73,7 +77,7 @@ def _header(sc: Scenario, command: str) -> list[str]:
         " weights split off and their guard bands excluded",
         f"omega-m-rad-s: {sc.geometry.omega_m:.17g}",
         f"cavity-omega-0-rad-s (from effective length): {sc.cavity.omega_0:.17g}",
-        f"cavity-omega-0-rad-s (from bare length): {omega_0_table:.17g}",
+        f"cavity-omega-0-rad-s (from bare length): {TWO_PI * sc.cavity.v_light / sc.cavity.length_d:.17g}",
     ]
 
 
@@ -88,21 +92,19 @@ def _apply_overrides(sc: Scenario, points: int | None, window_time: float | None
     return scenario_from_raw(raw)
 
 
-def _run_spectrum(sc: Scenario, args, include_electrical: bool) -> None:
+def _run_spectrum(sc: Scenario, args):
     table = flux.output_spectrum(grid_array(sc), sc.cavity, source_config(sc), sc.line, sc.env)
     columns = ["omega_over_omega_m", "n_total", "n_dce", "n_thermal", "n_mech_only"]
     cells = [table.omega / sc.geometry.omega_m, table.n_total, table.n_dce, table.n_thermal, table.n_mech_only]
-    if include_electrical:
+    if args.command == "decompose":
         columns.append("n_dce_electrical")
         cells.append(table.n_dce - table.n_mech_only)
-    command = "decompose" if include_electrical else "spectrum"
-    _write_table(args.out, _header(sc, command), columns + ["flags"], cells + [table.flags])
+    return [], columns + ["flags"], cells + [table.flags]
 
 
-def _run_resonances(sc: Scenario, args) -> None:
+def _run_resonances(sc: Scenario, args):
     om = sc.geometry.omega_m
-    band = (sc.grid.omega_min, sc.grid.omega_max)
-    roots = cavity.cavity_resonances(sc.cavity, band)
+    roots = cavity.cavity_resonances(sc.cavity, (sc.grid.omega_min, sc.grid.omega_max))
     rows = []
     for i, root in enumerate(roots):
         residual = cavity.resonance_residual(root, sc.cavity)
@@ -112,12 +114,8 @@ def _run_resonances(sc: Scenario, args) -> None:
             lambda w: -abs(cavity.mode_response(w, sc.cavity)), root - window, root + window, xatol=1.0
         )
         rows.append([i, root, root / om, residual, peak - root, "" if converged else "peak-refine-failed"])
-    _write_table(
-        args.out,
-        _header(sc, "resonances"),
-        ["index", "omega_rad_s", "omega_over_omega_m", "residual", "mode_peak_offset_rad_s", "flags"],
-        list(zip(*rows)),
-    )
+    columns = ["index", "omega_rad_s", "omega_over_omega_m", "residual", "mode_peak_offset_rad_s", "flags"]
+    return [], columns, list(zip(*rows))
 
 
 def _sweep_components(sc: Scenario, axis: str, value: float, pin_delta_c_zero: bool):
@@ -139,7 +137,7 @@ def _sweep_components(sc: Scenario, axis: str, value: float, pin_delta_c_zero: b
     return cfg, line
 
 
-def _run_sweep(sc: Scenario, args) -> None:
+def _run_sweep(sc: Scenario, args):
     values = []
     for chunk in args.values.split(","):
         try:
@@ -148,8 +146,7 @@ def _run_sweep(sc: Scenario, args) -> None:
             raise ConfigError(f"sweep value {chunk!r} is not a number") from exc
     if any(not np.isfinite(v) or v <= 0.0 for v in values):
         raise ConfigError("sweep values must be positive and finite")
-    om = sc.geometry.omega_m
-    probe = np.array([om / 2.0])
+    probe = np.array([sc.geometry.omega_m / 2.0])
     rows = []
     for value in values:
         try:
@@ -159,35 +156,32 @@ def _run_sweep(sc: Scenario, args) -> None:
         except SimulationError as exc:
             cells = [np.nan, np.nan, np.nan, np.nan, type(exc).__name__]
         rows.append([args.axis, value, 0.5] + cells)
-    _write_table(
-        args.out,
-        _header(sc, "sweep"),
-        ["axis", "value", "omega_probe_over_omega_m", "n_total", "n_dce", "n_thermal", "n_mech_only", "flags"],
-        list(zip(*rows)),
-    )
+    columns = ["axis", "value", "omega_probe_over_omega_m", "n_total", "n_dce", "n_thermal", "n_mech_only", "flags"]
+    return [], columns, list(zip(*rows))
 
 
-def _run_squeeze(sc: Scenario, args) -> None:
-    lc = squeeze_params(sc)
-    lam = squeeze.squeeze_coupling(lc)
-    if lam == 0.0:
-        times = np.linspace(0.0, 1.0, args.samples)
-    else:
-        times = np.linspace(0.0, args.t_max / (2.0 * lam), args.samples)
-    results = squeeze.evolve_series(lam, times, dim=args.dim)
-    rows = []
-    for t, res in zip(times, results):
-        closed_form = [t, 2.0 * lam * t, squeeze.analytic_photon_number(lam, t)]
-        rows.append(closed_form + [res.mean_photons, res.norm_defect, res.odd_population, res.truncation_flag])
-    header = _header(sc, "squeeze")
-    header.append(f"squeeze-rate-rad-s: {lam:.17g}")
-    header.append(f"truncation-dim: {args.dim}")
-    _write_table(
-        args.out,
-        header,
-        ["time_s", "two_lambda_t", "n_analytic", "n_numeric", "norm_defect", "odd_population", "truncation_flag"],
-        list(zip(*rows)),
-    )
+def _run_squeeze(sc: Scenario, args):
+    if args.samples < 2:
+        raise ConfigError("--samples must be >= 2")
+    if not 0.0 < args.t_max <= 2.0:
+        raise ConfigError("--t-max must lie in (0, 2]")
+    lam = squeeze.squeeze_coupling(squeeze_params(sc))
+    times = np.linspace(0.0, args.t_max / (2.0 * lam) if lam else 1.0, args.samples)
+    n_numeric, norm_defect, truncated, odd = zip(*squeeze.evolve_series(lam, times, dim=args.dim))
+    n_analytic = [squeeze.analytic_photon_number(lam, t) for t in times]
+    extra = [f"squeeze-rate-rad-s: {lam:.17g}", f"truncation-dim: {args.dim}"]
+    columns = ["time_s", "two_lambda_t", "n_analytic", "n_numeric", "norm_defect", "odd_population", "truncation_flag"]
+    return extra, columns, [times, 2.0 * lam * times, n_analytic, n_numeric, norm_defect, odd, truncated]
+
+
+# command name -> (runner, subparser help)
+_COMMANDS = {
+    "spectrum": (_run_spectrum, "output photon spectral density over the scenario grid"),
+    "decompose": (_run_spectrum, "spectrum plus the mechanical/electrical split column"),
+    "resonances": (_run_resonances, "cavity resonances in the scenario band with residuals"),
+    "sweep": (_run_sweep, "flux at half the modulation frequency along a parameter axis"),
+    "squeeze": (_run_squeeze, "parametric-model photon growth: closed form vs truncated evolution"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -196,13 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Photon flux from vacuum generated by a piezoelectrically modulated cavity mirror",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("spectrum", "output photon spectral density over the scenario grid"),
-        ("decompose", "spectrum plus the mechanical/electrical split column"),
-        ("resonances", "cavity resonances in the scenario band with residuals"),
-        ("sweep", "flux at half the modulation frequency along a parameter axis"),
-        ("squeeze", "parametric-model photon growth: closed form vs truncated evolution"),
-    ):
+    for name, (_, helptext) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--scenario", default="low-q", help="preset name or JSON file path")
         cmd.add_argument("--out", default="-", help="output CSV path, or - for stdout")
@@ -232,25 +220,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        sc = load_scenario(args.scenario)
-        sc = _apply_overrides(sc, args.points, args.window_time)
-        if args.command == "spectrum":
-            _run_spectrum(sc, args, include_electrical=False)
-        elif args.command == "decompose":
-            _run_spectrum(sc, args, include_electrical=True)
-        elif args.command == "resonances":
-            _run_resonances(sc, args)
-        elif args.command == "sweep":
-            _run_sweep(sc, args)
-        elif args.command == "squeeze":
-            if args.samples < 2:
-                raise ConfigError("--samples must be >= 2")
-            if not 0.0 < args.t_max <= 2.0:
-                raise ConfigError("--t-max must lie in (0, 2]")
-            _run_squeeze(sc, args)
-        else:  # pragma: no cover - argparse enforces the choice
-            raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+        sc = _apply_overrides(load_scenario(args.scenario), args.points, args.window_time)
+        extra, columns, cells = _COMMANDS[args.command][0](sc, args)
+        _write_table(args.out, _header(sc, args.command) + extra, columns, cells)
+    except (ConfigError, MemoryError) as exc:  # a --points, --dim or --samples too large to allocate is bad input
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, ArithmeticError) as exc:  # float ** and / raise on overflow and exact zero

@@ -70,11 +70,9 @@ class ScalingExponents(NamedTuple):
 
 
 def thermal_occupation(omega, env: ThermalEnv):
-    """Bose-Einstein occupation 1/(exp(hbar*omega/(k_B T)) - 1); zero at T = 0."""
+    """Bose-Einstein occupation 1/(exp(hbar*omega/(k_B T)) - 1); exactly +0.0 at T = 0, where x = inf."""
     w = positive_frequencies(omega)
-    if env.temperature == 0.0:
-        return np.zeros_like(w)
-    with np.errstate(over="ignore", divide="ignore"):  # x = inf (k_B*T underflows) is the x > 700 regime
+    with np.errstate(over="ignore", divide="ignore"):  # x = inf (T = 0, or k_B*T underflows) is the x > 700 regime
         x = HBAR * w / (K_B * env.temperature)
     return np.where(x > 700.0, 0.0, 1.0 / np.expm1(np.minimum(x, 700.0)))
 

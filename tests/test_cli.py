@@ -167,6 +167,20 @@ def test_finite_scenario_number_breaking_float_arithmetic_exit_code_3(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["squeeze", "--dim", str(10**7)], ["spectrum", "--points", str(10**14)]],
+    ids=lambda args: args[0],
+)
+def test_size_too_large_to_allocate_exit_code_2(tmp_path, capsys, args):
+    # each needs an array beyond the 128 TiB user address space, so allocation fails at once
+    out = tmp_path / "x.csv"
+    assert cli.main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_flag_validation_exit_code_2(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     assert cli.main(["spectrum", "--points", "1", "--out", out]) == 2
@@ -456,9 +470,11 @@ def _writer_peak_bytes(path, rows):
         tracemalloc.stop()
 
 
-def test_writer_memory_does_not_grow_with_rows(tmp_path):
-    small = _writer_peak_bytes(tmp_path / "small.csv", 20_000)
-    large = _writer_peak_bytes(tmp_path / "large.csv", 160_000)
+def test_writer_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
+    # 4 and 32 blocks: a writer that held the whole table would grow ~8x
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 1024)
+    small = _writer_peak_bytes(tmp_path / "small.csv", 4_096)
+    large = _writer_peak_bytes(tmp_path / "large.csv", 32_768)
     assert large < 1.5 * small, (small, large)
 
 
@@ -503,23 +519,8 @@ def _run_fresh(args):
     ],
     ids=lambda args: args[0],
 )
-def test_commands_without_root_search_leave_scipy_unloaded(tmp_path, args):
+def test_no_command_loads_scipy(tmp_path, args):
     assert _run_fresh(args + ["--out", str(tmp_path / "x.csv")]) == (0, False)
-
-
-def test_resonances_leaves_scipy_unloaded_and_keeps_columns(tmp_path):
-    out = tmp_path / "res.csv"
-    assert _run_fresh(["resonances", "--out", str(out)]) == (0, False)
-    _, columns, rows = _read_table(out)
-    assert columns == [
-        "index",
-        "omega_rad_s",
-        "omega_over_omega_m",
-        "residual",
-        "mode_peak_offset_rad_s",
-        "flags",
-    ]
-    assert len(rows) == 3
 
 
 def test_squeeze_command_matches_closed_form(tmp_path):

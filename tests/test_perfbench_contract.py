@@ -4,15 +4,22 @@ The tracer looks up every function it wraps by name, so a rename or merge in
 the package must fail here and not only when `--trace 1` runs; so must renaming
 the parameter it counts points by. The sweep rows
 the benchmark asks for (its seeded log ranges on every axis and preset) must
-equal an evaluation of the same configuration built by a separate route.
+equal an evaluation of the same configuration built by a separate route. The
+default-grid commands must write the bytes frozen in `perfbench/reference.json`,
+and one traced pass over every command must give per-layer counts that match
+the tables it wrote and leave every traced name as it was.
 """
 
 import copy
+import hashlib
 import importlib
 import importlib.util
 import inspect
+import json
 import math
+import sys
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -108,3 +115,60 @@ def test_sweep_rows_match_independent_evaluation(tmp_path_factory, sweep):
     assert cli.main(argv + ["--pin-delta-c-zero"] * pin + ["--out", str(out)]) == 0
     rows = out.read_text().splitlines()[-len(values):]
     assert rows == [_expected_row(preset, axis, value, pin) for value in values]
+
+
+@pytest.mark.parametrize(
+    "cmd", WORKLOADS.commands("cli-default", WORKLOADS.DEFAULT_SEED), ids=lambda cmd: cmd.label.replace(" ", "-")
+)
+def test_default_grid_bytes_match_reference(tmp_path, cmd):
+    reference = json.loads((PERFBENCH / "reference.json").read_text())["commands"]
+    out = tmp_path / "out.csv"
+    assert cli.main(list(cmd.argv) + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == reference[cmd.key()]["sha256"]
+
+
+def _fbar_dce_attributes():
+    return {
+        (name, attr): value
+        for name, module in sys.modules.items()
+        if name == "fbar_dce" or name.startswith("fbar_dce.")
+        for attr, value in vars(module).items()
+    }
+
+
+TRACED_ARGVS = [
+    ["spectrum", "--points", "64"],
+    ["decompose", "--points", "64"],
+    ["resonances"],
+    ["sweep", "--axis", "z0", "--values", "55,10000"],
+    ["squeeze", "--dim", "16", "--samples", "3"],
+]
+
+
+def test_traced_pass_counts_match_the_tables_and_restores_names(tmp_path):
+    before = _fbar_dce_attributes()
+    trace, walls, tables = TRACER.Tracer(), {}, []
+    with trace:
+        for i, argv in enumerate(TRACED_ARGVS):
+            trace.command = i
+            out = tmp_path / f"{argv[0]}.csv"
+            start = perf_counter()
+            assert cli.main(argv + ["--out", str(out)]) == 0
+            walls[i] = perf_counter() - start
+            lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+            tables.append([line.split(",") for line in lines[1:]])
+    after = _fbar_dce_attributes()
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)
+
+    metrics = TRACER.layer_metrics(trace.spans, walls)
+    spectrum, decompose, resonances, sweep, squeeze = tables
+    flux_rows = spectrum + decompose + sweep
+    assert metrics["flux.output_spectrum_calls"] == 2 + len(sweep)
+    assert metrics["flux.points"] == len(flux_rows) == 64 + 64 + 2
+    assert metrics["flux.rows_guard_band"] == sum(row[-1] == "guard-band" for row in flux_rows)
+    assert metrics["flux.rows_guard_shifted"] == sum(row[-1] == "guard-shifted" for row in flux_rows)
+    assert metrics["cavity.resonances_found"] == len(resonances) == 3
+    assert metrics["squeeze.samples"] == len(squeeze) == 3
+    assert metrics["squeeze.dim"] == 16
+    assert metrics["trace.unattributed_s"] >= 0.0
