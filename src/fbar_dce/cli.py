@@ -66,6 +66,7 @@ def _write_table(out_path: str, header_lines: list[str], columns: list[str], cel
 
 
 def _header(sc: Scenario, command: str) -> list[str]:
+    omega_0_table = TWO_PI * sc.cavity.v_light / sc.cavity.length_d
     return [
         f"fbar-dce {__version__} {command}",
         f"scenario: {sc.name}",
@@ -77,7 +78,7 @@ def _header(sc: Scenario, command: str) -> list[str]:
         " weights split off and their guard bands excluded",
         f"omega-m-rad-s: {sc.geometry.omega_m:.17g}",
         f"cavity-omega-0-rad-s (from effective length): {sc.cavity.omega_0:.17g}",
-        f"cavity-omega-0-rad-s (from bare length): {TWO_PI * sc.cavity.v_light / sc.cavity.length_d:.17g}",
+        f"cavity-omega-0-rad-s (from bare length): {omega_0_table:.17g}",
     ]
 
 
@@ -104,7 +105,8 @@ def _run_spectrum(sc: Scenario, args):
 
 def _run_resonances(sc: Scenario, args):
     om = sc.geometry.omega_m
-    roots = cavity.cavity_resonances(sc.cavity, (sc.grid.omega_min, sc.grid.omega_max))
+    band = (sc.grid.omega_min, sc.grid.omega_max)
+    roots = cavity.cavity_resonances(sc.cavity, band)
     rows = []
     for i, root in enumerate(roots):
         residual = cavity.resonance_residual(root, sc.cavity)
@@ -146,7 +148,8 @@ def _run_sweep(sc: Scenario, args):
             raise ConfigError(f"sweep value {chunk!r} is not a number") from exc
     if any(not np.isfinite(v) or v <= 0.0 for v in values):
         raise ConfigError("sweep values must be positive and finite")
-    probe = np.array([sc.geometry.omega_m / 2.0])
+    om = sc.geometry.omega_m
+    probe = np.array([om / 2.0])
     rows = []
     for value in values:
         try:
@@ -166,7 +169,10 @@ def _run_squeeze(sc: Scenario, args):
     if not 0.0 < args.t_max <= 2.0:
         raise ConfigError("--t-max must lie in (0, 2]")
     lam = squeeze.squeeze_coupling(squeeze_params(sc))
-    times = np.linspace(0.0, args.t_max / (2.0 * lam) if lam else 1.0, args.samples)
+    if lam == 0.0:
+        times = np.linspace(0.0, 1.0, args.samples)
+    else:
+        times = np.linspace(0.0, args.t_max / (2.0 * lam), args.samples)
     n_numeric, norm_defect, truncated, odd = zip(*squeeze.evolve_series(lam, times, dim=args.dim))
     n_analytic = [squeeze.analytic_photon_number(lam, t) for t in times]
     extra = [f"squeeze-rate-rad-s: {lam:.17g}", f"truncation-dim: {args.dim}"]
@@ -220,7 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        sc = _apply_overrides(load_scenario(args.scenario), args.points, args.window_time)
+        sc = load_scenario(args.scenario)
+        sc = _apply_overrides(sc, args.points, args.window_time)
         extra, columns, cells = _COMMANDS[args.command][0](sc, args)
         _write_table(args.out, _header(sc, args.command) + extra, columns, cells)
     except (ConfigError, MemoryError) as exc:  # a --points, --dim or --samples too large to allocate is bad input

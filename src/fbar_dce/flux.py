@@ -40,6 +40,7 @@ class ThermalEnv:
 
     def __post_init__(self):
         check_fields(self, "environment", non_negative=("temperature",))
+        object.__setattr__(self, "temperature", self.temperature + 0.0)  # -0.0 -> +0.0, so T = 0 gives x = +inf
 
 
 @dataclass(frozen=True)

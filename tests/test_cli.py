@@ -204,6 +204,22 @@ def test_no_drive_spectrum_is_bose_curve(tmp_path):
     assert np.all(_column(columns, rows, "n_dce") == 0.0)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["spectrum", "--points", "64"], ["decompose", "--points", "64"], ["sweep", "--axis", "q", "--values", "1,1000"]],
+    ids=lambda args: args[0],
+)
+def test_negative_zero_temperature_gives_zero_temperature_table(tmp_path, args):
+    # the tables differ only in the scenario hash, which covers the raw -0.0
+    tables = []
+    for temperature in (0.0, -0.0):
+        path = _write_scenario(tmp_path, lambda raw: raw["environment"].__setitem__("temperature_k", temperature))
+        out = tmp_path / "table.csv"
+        assert cli.main(args + ["--scenario", str(path), "--out", str(out)]) == 0
+        tables.append([line for line in out.read_text().splitlines() if not line.startswith("# scenario-sha256: ")])
+    assert tables[0] == tables[1]
+
+
 def test_full_spectrum_peaks_at_cavity_resonances(tmp_path):
     out = tmp_path / "full.csv"
     assert cli.main(["spectrum", "--out", str(out)]) == 0
@@ -471,6 +487,7 @@ def _writer_peak_bytes(path, rows):
 
 
 def test_writer_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
+    assert cli._BLOCK_ROWS <= 8192  # the production block stays bounded; the check below runs at 1024 rows
     # 4 and 32 blocks: a writer that held the whole table would grow ~8x
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 1024)
     small = _writer_peak_bytes(tmp_path / "small.csv", 4_096)

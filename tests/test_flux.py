@@ -62,6 +62,14 @@ def test_thermal_occupation_zero_temperature():
     assert np.array_equal(thermal_occupation(grid, ThermalEnv(0.0)), np.zeros(7))
 
 
+def test_negative_zero_temperature_is_zero_temperature():
+    # -0.0 passes the >= 0 check; stored as +0.0 it gives x = +inf and +0.0 occupation, not 1/expm1(-inf) = -1
+    env = ThermalEnv(-0.0)
+    assert math.copysign(1.0, env.temperature) == 1.0
+    n = thermal_occupation(np.linspace(0.1, 0.9, 7) * OMEGA_M, env)
+    assert np.array_equal(n, np.zeros(7)) and not np.any(np.signbit(n))
+
+
 def test_subnormal_temperature_spectrum_has_no_thermal_photons():
     # k_B*T underflows to 0, so hbar*omega/(k_B*T) is inf: zero occupation, not a breakdown
     table = output_spectrum(_half_point(), CAV, CFG, LINE, ThermalEnv(1e-320))
