@@ -216,7 +216,10 @@ def dressed_coefficients(
     at omega and the response at omega_m - omega, and the drive-sourced term
     (with and without the capacitance modulation) by the inverse denominator.
     At v_pp = 0 there are no tones and no turn-on jump, so both drive-sourced
-    terms come out exactly zero from the same formula.
+    terms come out exactly zero from the same formula. Lanes in delta_c, v_pp
+    or z0 broadcast against omega in the mixing and drive-sourced terms, while
+    the denominator, the reflection and the mode responses depend on omega
+    alone and are evaluated once for all lanes.
     Raises UnderflowError when ||R| - 1| > 1e-10 (the lossless-cavity invariant).
     """
     om = cfg.cap.omega_m

@@ -139,7 +139,46 @@ def _sweep_components(sc: Scenario, axis: str, value: float, pin_delta_c_zero: b
     return cfg, line
 
 
+def _sweep_lanes(parts):
+    """One (source_config, line) whose swept fields hold the parts' values as a column of lanes.
+
+    A sweep varies only v_pp, delta_c and z0; every other field is the scenario's in every part.
+    """
+    cfgs, lines = zip(*parts)
+    drive = replace(cfgs[0].drive, v_pp=np.array([[cfg.drive.v_pp] for cfg in cfgs]))
+    cap = replace(cfgs[0].cap, delta_c=np.array([[cfg.cap.delta_c] for cfg in cfgs]))
+    line = replace(lines[0], z0=np.array([[line.z0] for line in lines]))
+    return replace(cfgs[0], drive=drive, cap=cap), line
+
+
+def _sweep_cells(sc: Scenario, probe, parts) -> dict:
+    """{value index: row cells} of the validated (index, (source_config, line)) parts.
+
+    All parts go through one output_spectrum call as lanes. A call that fails
+    is made again on each half, down to a single part, which is the plain
+    per-value call: its failure becomes its row's flag, and every row keeps
+    the bits of its own per-value evaluation.
+    """
+    if not parts:
+        return {}
+    index, configs = zip(*parts)
+    try:
+        cfg, line = configs[0] if len(parts) == 1 else _sweep_lanes(configs)
+        table = flux.output_spectrum(probe, sc.cavity, cfg, line, sc.env)
+    except SimulationError as exc:
+        if len(parts) == 1:
+            return {index[0]: [np.nan, np.nan, np.nan, np.nan, type(exc).__name__]}
+        half = len(parts) // 2
+        return {**_sweep_cells(sc, probe, parts[:half]), **_sweep_cells(sc, probe, parts[half:])}
+    lanes = [np.ravel(column) for column in (table.n_total, table.n_dce, table.n_thermal, table.n_mech_only)]
+    return {i: [*numbers, table.flags[0]] for i, numbers in zip(index, zip(*lanes))}
+
+
 def _run_sweep(sc: Scenario, args):
+    """One row per value at the probe omega_m/2, each with its own flag.
+
+    Each value is validated alone; all that validate are evaluated in one array pass (`_sweep_cells`).
+    """
     values = []
     for chunk in args.values.split(","):
         try:
@@ -150,15 +189,14 @@ def _run_sweep(sc: Scenario, args):
         raise ConfigError("sweep values must be positive and finite")
     om = sc.geometry.omega_m
     probe = np.array([om / 2.0])
-    rows = []
-    for value in values:
+    cells, parts = {}, []
+    for i, value in enumerate(values):
         try:
-            cfg, line = _sweep_components(sc, args.axis, value, args.pin_delta_c_zero)
-            table = flux.output_spectrum(probe, sc.cavity, cfg, line, sc.env)
-            cells = [table.n_total[0], table.n_dce[0], table.n_thermal[0], table.n_mech_only[0], table.flags[0]]
+            parts.append((i, _sweep_components(sc, args.axis, value, args.pin_delta_c_zero)))
         except SimulationError as exc:
-            cells = [np.nan, np.nan, np.nan, np.nan, type(exc).__name__]
-        rows.append([args.axis, value, 0.5] + cells)
+            cells[i] = [np.nan, np.nan, np.nan, np.nan, type(exc).__name__]
+    cells.update(_sweep_cells(sc, probe, parts))
+    rows = [[args.axis, value, 0.5] + cells[i] for i, value in enumerate(values)]
     columns = ["axis", "value", "omega_probe_over_omega_m", "n_total", "n_dce", "n_thermal", "n_mech_only", "flags"]
     return [], columns, list(zip(*rows))
 

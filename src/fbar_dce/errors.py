@@ -50,11 +50,16 @@ def positive_frequencies(omega, below: float = np.inf) -> np.ndarray:
     return w
 
 
+def holds(condition) -> bool:
+    """Truth of a bound on a field: for an array of lanes, every entry must satisfy it."""
+    return condition if isinstance(condition, bool) else bool(condition.all())
+
+
 def check_fields(obj, section: str, positive=(), non_negative=()) -> None:
     """ConfigError unless each named field of obj is > 0 (positive) or >= 0 (non_negative); NaN fails both."""
     for name in positive:
-        if not getattr(obj, name) > 0.0:
+        if not holds(getattr(obj, name) > 0.0):
             raise ConfigError(f"{section}.{name} must be strictly positive")
     for name in non_negative:
-        if not getattr(obj, name) >= 0.0:
+        if not holds(getattr(obj, name) >= 0.0):
             raise ConfigError(f"{section}.{name} must be non-negative")

@@ -11,7 +11,11 @@ n_mech_only is the flux lost when the mechanical modulation is removed
 (delta_c = 0) while the voltage source stays connected.
 
 All five coefficient magnitudes come from one call of
-cavity.dressed_coefficients per spectrum. The S-type terms are
+cavity.dressed_coefficients per output_spectrum call. That call covers every
+lane when the configuration's delta_c, v_pp or z0 holds an array of lanes
+(see scatter), so a parameter sweep is one spectrum pass: guard resolution,
+the cavity denominator, the mode responses and the thermal occupations run
+once for all its values. The S-type terms are
 window-independent occupation densities; the h term uses the steady
 (window-independent) part of the source spectrum, with the coherent drive
 lines accounted separately via scatter.line_weights.
@@ -45,7 +49,11 @@ class ThermalEnv:
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Column-oriented spectrum: one row per grid frequency."""
+    """Column-oriented spectrum: one row per grid frequency.
+
+    With lanes the occupation columns carry the lane axes before the grid
+    axis; omega and flags stay one entry per grid frequency.
+    """
 
     omega: np.ndarray
     n_total: np.ndarray
@@ -98,6 +106,13 @@ def _resolve_guard_collisions(grid: np.ndarray, cfg: SourceConfig) -> tuple[np.n
     return out, flags
 
 
+def _on_grid(column, live):
+    """A column over the live grid points, spread over the whole grid (last axis) with NaN elsewhere."""
+    out = np.full(column.shape[:-1] + live.shape, np.nan)
+    out[..., live] = column
+    return out
+
+
 def output_spectrum(
     grid, cav: CavityParams, cfg: SourceConfig, line: LineParams, env: ThermalEnv
 ) -> SpectrumTable:
@@ -107,6 +122,12 @@ def output_spectrum(
     outward by one grid step and flagged "guard-shifted"; points that cannot
     be moved clear are flagged "guard-band" and are not evaluated (NaN in
     every occupation column).
+
+    Lanes in cfg or line (a column array in delta_c, v_pp or z0) broadcast
+    against the grid. Guard bands come from the tones any lane keeps; away
+    from them each lane gets the bits of its own scalar evaluation. A lane
+    that overflows, or comes out non-finite or negative beyond round-off,
+    fails the whole call with NumericalError.
     """
     om = cfg.cap.omega_m
     w = positive_frequencies(grid, below=om)
@@ -119,11 +140,9 @@ def output_spectrum(
             w, flags = _resolve_guard_collisions(w, cfg)
             live = flags != "guard-band"
             # |R|^2, |S1|^2, |S2|^2, |h_res|^2 and the delta_c = 0 |h_res|^2; NaN on guard-band rows
-            r_sq, s1_sq, s2_sq, h_sq, h_static_sq = np.full((5, len(w)), np.nan)
-            if np.any(live):
-                r_sq[live], s1_sq[live], s2_sq[live], h_sq[live], h_static_sq[live] = (
-                    np.abs(c) ** 2 for c in dressed_coefficients(w[live], cav, cfg, line)
-                )
+            r_sq, s1_sq, s2_sq, h_sq, h_static_sq = (
+                _on_grid(np.abs(c) ** 2, live) for c in dressed_coefficients(w[live], cav, cfg, line)
+            )
 
             n_in = thermal_occupation(w, env)
             n_in_up = thermal_occupation(om + w, env)
@@ -137,14 +156,14 @@ def output_spectrum(
             n_mech_only = n_dce - h_static_sq
     except FloatingPointError as exc:
         raise NumericalError(f"floating-point breakdown in the spectrum evaluation: {exc}") from exc
-    overflow = ~np.isfinite(np.stack([n_total, n_dce, n_thermal, n_mech_only])[:, live])
+    # a lane field that enters only some terms leaves the others without its axes
+    n_total, n_dce, n_thermal, n_mech_only = np.broadcast_arrays(n_total, n_dce, n_thermal, n_mech_only)
+    overflow = ~np.isfinite(np.stack([n_total, n_dce, n_thermal, n_mech_only])[..., live])
     if np.any(overflow):
-        raise NumericalError(f"non-finite occupation at {int(np.sum(overflow.any(axis=0)))} grid points")
-    bad = n_mech_only[live] < _NEGATIVE_ROUNDOFF_FLOOR
+        raise NumericalError(f"non-finite occupation at {int(np.sum(overflow.any(axis=0)))} rows")
+    bad = n_mech_only[..., live] < _NEGATIVE_ROUNDOFF_FLOOR
     if np.any(bad):
-        raise NumericalError(
-            f"mechanical-only flux negative beyond round-off at {int(np.sum(bad))} grid points"
-        )
+        raise NumericalError(f"mechanical-only flux negative beyond round-off at {int(np.sum(bad))} rows")
     n_mech_only = np.maximum(n_mech_only, 0.0)  # NaN on guard-band rows stays NaN
 
     return SpectrumTable(

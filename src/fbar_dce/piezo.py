@@ -91,7 +91,7 @@ class DriveParams:
     Parameters
     ----------
     v_pp : float
-        Peak voltage amplitude [V] (>= 0).
+        Peak voltage amplitude [V] (>= 0); may hold an array of lanes, see `scatter`.
     phase : float
         Drive phase [rad]; pi/2 by default so the drive switches on smoothly.
     omega_d : float

@@ -15,6 +15,14 @@ a smooth steady part; `source_spectrum` returns that steady part (independent
 of the window), and `line_weights` the integrated line strengths. Frequencies
 within guard_band = 100/window_time of a tone are line-dominated and rejected
 for continuous-part evaluation.
+
+Lanes
+-----
+`TimeVaryingCap.delta_c`, `DriveParams.v_pp` and `LineParams.z0` may each hold
+an array of lanes, one configuration per entry, for example shape (n, 1).
+`tones`, `source_spectrum`, `s_coefficient` and `h_coefficient` broadcast the
+lanes against their frequency array with the same elementwise operations as
+a scalar field, so every lane gives the bits of its own scalar evaluation.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, TWO_PI
-from .errors import ConfigError, GuardBandError, check_fields, positive_frequencies
+from .errors import ConfigError, GuardBandError, check_fields, holds, positive_frequencies
 from .piezo import DriveParams
 
 _SQRT_2PI = math.sqrt(TWO_PI)
@@ -33,7 +41,7 @@ _SQRT_2PI = math.sqrt(TWO_PI)
 
 @dataclass(frozen=True)
 class TimeVaryingCap:
-    """Harmonically modulated capacitance c0 + delta_c*cos(omega_m*t)."""
+    """Harmonically modulated capacitance c0 + delta_c*cos(omega_m*t); delta_c may hold lanes."""
 
     c0: float
     delta_c: float
@@ -41,13 +49,13 @@ class TimeVaryingCap:
 
     def __post_init__(self):
         check_fields(self, "cap", positive=("c0", "omega_m"))
-        if not 0.0 <= self.delta_c < self.c0:
+        if not holds((0.0 <= self.delta_c) & (self.delta_c < self.c0)):  # NaN fails
             raise ConfigError("cap.delta_c must satisfy 0 <= delta_c < c0")
 
 
 @dataclass(frozen=True)
 class LineParams:
-    """Transmission-line parameters: characteristic impedance and signal speed."""
+    """Transmission-line parameters: characteristic impedance and signal speed; z0 may hold lanes."""
 
     z0: float
     v_light: float
@@ -114,8 +122,10 @@ def tones(cfg: SourceConfig) -> list[tuple[float, float, float]]:
 
     C(t)V(t) = sum_k A_k * cos(nu_k*t + phi_k) with the product cosine split
     into sum and difference tones. Tones at zero frequency or zero amplitude
-    carry no weight in the derivative and are dropped. This is the one tone
-    list: the source terms, the line weights and the flux guard bands use it.
+    carry no weight in the derivative and are dropped. With lanes a tone stays
+    when any lane's amplitude is non-zero; the lanes where it is zero then add
+    exact zeros. This is the one tone list: the source terms, the line weights
+    and the flux guard bands use it.
     """
     drv, cap = cfg.drive, cfg.cap
     raw = [
@@ -127,7 +137,7 @@ def tones(cfg: SourceConfig) -> list[tuple[float, float, float]]:
     for amp, nu, phi in raw:
         if nu < 0.0:  # cos is even: fold onto a positive frequency
             nu, phi = -nu, -phi
-        if amp != 0.0 and nu != 0.0:
+        if np.any(amp != 0.0) and nu != 0.0:
             kept.append((amp, nu, phi))
     return kept
 
@@ -186,9 +196,11 @@ def source_spectrum(cfg: SourceConfig, omega):
     This is the smooth principal-value component left after the coherent
     lines at the drive tones are split off; it is what the photon-flux
     assembly consumes. Raises GuardBandError within guard_band of any tone.
+    Lanes of the configuration broadcast against omega.
     """
     w = positive_frequencies(omega)
-    total = np.full_like(w, _turn_on_jump(cfg), dtype=complex)
+    jump = _turn_on_jump(cfg)
+    total = np.full(np.broadcast_shapes(w.shape, np.shape(jump)), jump, dtype=complex)
     for amp, nu, phi in tones(cfg):
         if np.any(np.abs(w - nu) < cfg.guard_band):
             raise GuardBandError(

@@ -359,6 +359,20 @@ def test_sweep_z0_beyond_float_range_is_flagged(tmp_path):
     assert np.all(np.isnan(_column(columns, rows, "n_total")[1:]))
 
 
+def test_sweep_overflowing_value_among_others_keeps_their_rows(tmp_path):
+    # the three values are one batch, which overflows; evaluated again in halves, the
+    # 1e200 ohm row is flagged and the others keep the bytes of their one-value sweeps
+    out = tmp_path / "z0.csv"
+    assert cli.main(["sweep", "--axis", "z0", "--values", "55,1e200,10000", "--out", str(out)]) == 0
+    _, columns, rows = _read_table(out)
+    assert _column(columns, rows, "flags", dtype=str) == ["", "NumericalError", ""]
+    first, _, last = out.read_text().splitlines()[-3:]
+    for value, row in (("55", first), ("10000", last)):
+        single = tmp_path / f"{value}.csv"
+        assert cli.main(["sweep", "--axis", "z0", "--values", value, "--out", str(single)]) == 0
+        assert single.read_text().splitlines()[-1] == row
+
+
 def test_sweep_flags_failing_value(tmp_path):
     # A quality factor so high the deflection leaves the expansion's
     # validity range: the row is kept, flagged, and holds no numbers.

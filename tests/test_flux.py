@@ -384,3 +384,42 @@ def test_vc_ratio_validation():
         vc_ratio(1e-13, 0.0, 1e8)
     with pytest.raises(ConfigError):
         vc_ratio(1e-13, OMEGA_M, -1.0)
+
+
+@pytest.mark.parametrize("swept", [(0, 1, 2), (0,)], ids=["all-three", "v_pp-alone"])
+def test_lanes_give_the_bits_of_their_scalar_evaluations(swept):
+    # a column of three configurations over a grid with guard-shifted and guard-band points;
+    # v_pp alone leaves the mixing terms, and so n_thermal, without the lane axis
+    raw = preset_raw("low-q")
+    raw["grid"].update(omega_max_hz=4.2e9 - 1e6, points=400)
+    raw["window_time_s"] = 3e-7
+    sc = scenario_from_raw(raw)
+    grid, base = grid_array(sc), source_config(sc)
+    lanes = [(5e-4, DELTA_C, 55.0), (3e-6, 0.5 * DELTA_C, 1e4), (2e-3, 4.0 * DELTA_C, 1.0)]
+    lanes = [tuple(x if k in swept else lanes[0][k] for k, x in enumerate(lane)) for lane in lanes]
+
+    def spectrum(v_pp, delta_c, z0):
+        cfg = replace(base, drive=replace(base.drive, v_pp=v_pp), cap=replace(base.cap, delta_c=delta_c))
+        return output_spectrum(grid, sc.cavity, cfg, LineParams(z0=z0, v_light=sc.line.v_light), sc.env)
+
+    columns = [np.array([[x] for x in column]) if k in swept else column[0] for k, column in enumerate(zip(*lanes))]
+    table = spectrum(*columns)
+    assert {"guard-shifted", "guard-band"} <= set(table.flags)
+    for i, lane in enumerate(lanes):
+        want = spectrum(*lane)
+        assert table.flags == want.flags
+        assert np.array_equal(table.omega, want.omega)
+        for name in ("n_total", "n_dce", "n_thermal", "n_mech_only"):
+            assert getattr(table, name)[i].tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_lane_fields_check_every_entry():
+    # one entry out of range among good ones fails the field's bound, NaN included
+    for make in (
+        lambda: replace(CAP, delta_c=np.array([[DELTA_C], [math.nan]])),
+        lambda: replace(CAP, delta_c=np.array([[DELTA_C], [CAP.c0]])),
+        lambda: DriveParams(v_pp=np.array([[5e-4], [-1e-30]]), omega_d=OMEGA_M),
+        lambda: LineParams(z0=np.array([[55.0], [math.nan]]), v_light=1e8),
+    ):
+        with pytest.raises(ConfigError):
+            make()

@@ -2,12 +2,13 @@
 
 The tracer looks up every function it wraps by name, so a rename or merge in
 the package must fail here and not only when `--trace 1` runs; so must renaming
-the parameter it counts points by. The sweep rows
-the benchmark asks for (its seeded log ranges on every axis and preset) must
-equal an evaluation of the same configuration built by a separate route. The
-default-grid commands must write the bytes frozen in `perfbench/reference.json`,
-and one traced pass over every command must give per-layer counts that match
-the tables it wrote and leave every traced name as it was.
+the parameter it counts points by. The sweep rows the benchmark asks for (its
+seeded log ranges on every axis and preset, mixed with values that fail or
+underflow) must equal an evaluation of the same configuration built by a
+separate route, one value at a time. The default-grid commands and the long
+sweeps must write the bytes frozen in `perfbench/reference.json`, and one
+traced pass over every command must give per-layer counts that match the
+tables it wrote and leave every traced name as it was.
 """
 
 import copy
@@ -97,12 +98,26 @@ def _expected_row(preset: str, axis: str, value: float, pin: bool) -> str:
     return ",".join([axis, f"{value:.17g}", "0.5"] + [f"{x:.17g}" for x in numbers] + [flag])
 
 
+# values that fail or sit at the edge, per axis: above the validity range (ValidityError before
+# evaluation), a z0 whose occupations overflow (NumericalError from an overflowing batch), and
+# sub-normal drives or displacements whose tone amplitudes underflow to 0
+_EDGE_VALUES = {
+    "v_pp": [1e3, 1e-320, 5e-324],
+    "q": [1.5e9],
+    "z0": [1e200],
+    "delta_x": [1e-3, 1e-320, 5e-324],
+}
+
+
 @st.composite
 def _sweeps(draw):
     axis = draw(st.sampled_from(WORKLOADS.SWEEP_AXES))
     lo, hi = WORKLOADS.SWEEP_RANGES[axis]
     exponent = st.floats(min_value=math.log10(lo), max_value=math.log10(hi))
-    values = [10.0**e for e in draw(st.lists(exponent, min_size=1, max_size=3))]
+    size = draw(st.integers(min_value=1, max_value=40))
+    values = [10.0**e for e in draw(st.lists(exponent, min_size=size, max_size=size))]
+    for edge in draw(st.lists(st.sampled_from(_EDGE_VALUES[axis]), max_size=3)):
+        values.insert(draw(st.integers(min_value=0, max_value=len(values))), edge)
     return draw(st.sampled_from(WORKLOADS.PRESETS)), axis, values, draw(st.booleans())
 
 
@@ -117,9 +132,14 @@ def test_sweep_rows_match_independent_evaluation(tmp_path_factory, sweep):
     assert rows == [_expected_row(preset, axis, value, pin) for value in values]
 
 
-@pytest.mark.parametrize(
-    "cmd", WORKLOADS.commands("cli-default", WORKLOADS.DEFAULT_SEED), ids=lambda cmd: cmd.label.replace(" ", "-")
-)
+BYTE_CASES = [
+    pytest.param(cmd, id=prefix + cmd.label.replace(" ", "-"))
+    for workload, prefix in (("cli-default", ""), ("sweep-long", "sweep-long-"))
+    for cmd in WORKLOADS.commands(workload, WORKLOADS.DEFAULT_SEED)
+]
+
+
+@pytest.mark.parametrize("cmd", BYTE_CASES)
 def test_default_grid_bytes_match_reference(tmp_path, cmd):
     reference = json.loads((PERFBENCH / "reference.json").read_text())["commands"]
     out = tmp_path / "out.csv"
@@ -164,8 +184,10 @@ def test_traced_pass_counts_match_the_tables_and_restores_names(tmp_path):
     metrics = TRACER.layer_metrics(trace.spans, walls)
     spectrum, decompose, resonances, sweep, squeeze = tables
     flux_rows = spectrum + decompose + sweep
-    assert metrics["flux.output_spectrum_calls"] == 2 + len(sweep)
-    assert metrics["flux.points"] == len(flux_rows) == 64 + 64 + 2
+    # the two sweep values are lanes of one call at the one probe point
+    assert metrics["flux.output_spectrum_calls"] == 2 + 1
+    assert metrics["flux.points"] == len(spectrum) + len(decompose) + 1 == 64 + 64 + 1
+    assert len(sweep) == 2
     assert metrics["flux.rows_guard_band"] == sum(row[-1] == "guard-band" for row in flux_rows)
     assert metrics["flux.rows_guard_shifted"] == sum(row[-1] == "guard-shifted" for row in flux_rows)
     assert metrics["cavity.resonances_found"] == len(resonances) == 3
