@@ -190,8 +190,6 @@ def cavity_resonances(cav: CavityParams, band: tuple[float, float]) -> list[floa
             if not a <= root - step <= b:
                 break
             root -= step
-            if step == 0.0:
-                break
         target = cav.omega_coupling / root
         if abs(_resonance_mismatch(root, cav)) >= _RESIDUAL_RTOL * target:
             raise ConvergenceError(f"resonance residual above tolerance at omega = {root:.6e}")

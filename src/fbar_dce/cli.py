@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import os
 import sys
 from dataclasses import replace
 
@@ -55,14 +56,18 @@ def _table_text(header_lines: list[str], columns: list[str], cells):
 def _write_table(out_path: str, header_lines: list[str], columns: list[str], cells) -> None:
     """Write a CSV table given one sequence of cells per column (none for an empty table)."""
     text = _table_text(header_lines, columns, cells)
-    if out_path == "-":
-        sys.stdout.writelines(text)
-    else:
-        try:
+    try:
+        if out_path == "-":
+            sys.stdout.writelines(text)
+            sys.stdout.flush()
+        else:
             with open(out_path, "w", newline="") as fh:
                 fh.writelines(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {out_path}: {exc}") from exc
+    except OSError as exc:
+        if out_path == "-":  # a closed pipe: the flush at exit must not fail again
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        raise ConfigError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _header(sc: Scenario, command: str) -> list[str]:
@@ -156,8 +161,10 @@ def _sweep_cells(sc: Scenario, probe, parts) -> dict:
 
     All parts go through one output_spectrum call as lanes. A call that fails
     is made again on each half, down to a single part, which is the plain
-    per-value call: its failure becomes its row's flag, and every row keeps
-    the bits of its own per-value evaluation.
+    per-value call (a lane of one would not do: numpy multiplies a (1, 1) by
+    a (1,) complex array in a loop that rounds differently): its failure
+    becomes its row's flag, and every row keeps the bits of its own
+    per-value evaluation.
     """
     if not parts:
         return {}

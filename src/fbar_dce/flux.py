@@ -10,15 +10,16 @@ zero temperature; n_thermal collects the occupation-driven terms, and
 n_mech_only is the flux lost when the mechanical modulation is removed
 (delta_c = 0) while the voltage source stays connected.
 
-All five coefficient magnitudes come from one call of
-cavity.dressed_coefficients per output_spectrum call. That call covers every
-lane when the configuration's delta_c, v_pp or z0 holds an array of lanes
-(see scatter), so a parameter sweep is one spectrum pass: guard resolution,
-the cavity denominator, the mode responses and the thermal occupations run
-once for all its values. The S-type terms are
-window-independent occupation densities; the h term uses the steady
-(window-independent) part of the source spectrum, with the coherent drive
-lines accounted separately via scatter.line_weights.
+Only live rows are evaluated: all five coefficient magnitudes come from one
+call of cavity.dressed_coefficients per output_spectrum call, on the grid
+points outside the coherent-line guard bands. That call covers every lane
+when the configuration's delta_c, v_pp or z0 holds an array of lanes (see
+scatter), so a parameter sweep is one spectrum pass: guard resolution, the
+cavity denominator, the mode responses and the thermal occupations run once
+for all its values. The S-type terms are window-independent occupation
+densities; the h term uses the steady (window-independent) part of the source
+spectrum, with the coherent drive lines accounted separately via
+scatter.line_weights.
 """
 
 from __future__ import annotations
@@ -93,10 +94,7 @@ def _resolve_guard_collisions(grid: np.ndarray, cfg: SourceConfig) -> tuple[np.n
     step = grid[1] - grid[0] if len(grid) > 1 else cfg.guard_band
     out = grid.copy()
     for _, nu, _ in tones(cfg):
-        near = np.abs(grid - nu) < cfg.guard_band
-        if not near.any():
-            continue
-        idx = np.flatnonzero(near)
+        idx = np.flatnonzero(np.abs(grid - nu) < cfg.guard_band)
         w = grid[idx]
         shifted = np.where(w >= nu, w + step, w - step)
         blocked = np.abs(shifted - nu) < cfg.guard_band
@@ -120,8 +118,8 @@ def output_spectrum(
 
     Grid points that collide with a coherent-line guard band are shifted
     outward by one grid step and flagged "guard-shifted"; points that cannot
-    be moved clear are flagged "guard-band" and are not evaluated (NaN in
-    every occupation column).
+    be moved clear are flagged "guard-band" and are not evaluated: only the
+    live rows are, and the guard-band rows get NaN in every occupation column.
 
     Lanes in cfg or line (a column array in delta_c, v_pp or z0) broadcast
     against the grid. Guard bands come from the tones any lane keeps; away
@@ -137,12 +135,11 @@ def output_spectrum(
         raise ConfigError("grid must be strictly increasing")
     try:  # an overflowing or invalid evaluation is one NumericalError, not numpy warnings
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            w, flags = _resolve_guard_collisions(w, cfg)
+            omega, flags = _resolve_guard_collisions(w, cfg)
             live = flags != "guard-band"
-            # |R|^2, |S1|^2, |S2|^2, |h_res|^2 and the delta_c = 0 |h_res|^2; NaN on guard-band rows
-            r_sq, s1_sq, s2_sq, h_sq, h_static_sq = (
-                _on_grid(np.abs(c) ** 2, live) for c in dressed_coefficients(w[live], cav, cfg, line)
-            )
+            w = omega[live]
+            # |R|^2, |S1|^2, |S2|^2, |h_res|^2 and the delta_c = 0 |h_res|^2
+            r_sq, s1_sq, s2_sq, h_sq, h_static_sq = (np.abs(c) ** 2 for c in dressed_coefficients(w, cav, cfg, line))
 
             n_in = thermal_occupation(w, env)
             n_in_up = thermal_occupation(om + w, env)
@@ -158,20 +155,20 @@ def output_spectrum(
         raise NumericalError(f"floating-point breakdown in the spectrum evaluation: {exc}") from exc
     # a lane field that enters only some terms leaves the others without its axes
     n_total, n_dce, n_thermal, n_mech_only = np.broadcast_arrays(n_total, n_dce, n_thermal, n_mech_only)
-    overflow = ~np.isfinite(np.stack([n_total, n_dce, n_thermal, n_mech_only])[..., live])
+    overflow = ~np.isfinite(np.stack([n_total, n_dce, n_thermal, n_mech_only]))
     if np.any(overflow):
         raise NumericalError(f"non-finite occupation at {int(np.sum(overflow.any(axis=0)))} rows")
-    bad = n_mech_only[..., live] < _NEGATIVE_ROUNDOFF_FLOOR
+    bad = n_mech_only < _NEGATIVE_ROUNDOFF_FLOOR
     if np.any(bad):
         raise NumericalError(f"mechanical-only flux negative beyond round-off at {int(np.sum(bad))} rows")
-    n_mech_only = np.maximum(n_mech_only, 0.0)  # NaN on guard-band rows stays NaN
+    n_mech_only = np.maximum(n_mech_only, 0.0)
 
     return SpectrumTable(
-        omega=w,
-        n_total=n_total,
-        n_dce=n_dce,
-        n_thermal=n_thermal,
-        n_mech_only=n_mech_only,
+        omega=omega,
+        n_total=_on_grid(n_total, live),
+        n_dce=_on_grid(n_dce, live),
+        n_thermal=_on_grid(n_thermal, live),
+        n_mech_only=_on_grid(n_mech_only, live),
         flags=tuple(flags.tolist()),
     )
 

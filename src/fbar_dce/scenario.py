@@ -175,8 +175,8 @@ def _validate_shape(raw: dict) -> None:
                 raise ConfigError(f"unknown field: {section}.{key}")
     if "name" not in raw:
         raise ConfigError("missing field: name")
-    if not isinstance(raw["name"], str):
-        raise ConfigError("field name must be a string")
+    if not isinstance(raw["name"], str) or not raw["name"].isprintable():  # a line break would split the header
+        raise ConfigError("field name must be a string of printable characters")
     _require_number(raw, "window_time_s", "window_time_s")
 
 

@@ -137,7 +137,8 @@ def evolve_series(lam: float, times, dim: int = 60) -> list[EvolutionResult]:
     One trajectory, observed at each of the non-negative, strictly increasing
     times. Fixed-step 4th-order integration with dimensionless step 2*lambda*h
     below 5e-4. Valid for dim >= 16 and 2*lambda*t <= 2; population reaching
-    the top two levels beyond 1e-8 sets the truncation flag.
+    the top two levels beyond 1e-8 sets the truncation flag. A zero-length
+    interval and lambda = 0 are ordinary steps that add only zeros to the state.
     """
     ts = np.asarray(times, dtype=float)
     if not lam >= 0.0:
@@ -152,11 +153,7 @@ def evolve_series(lam: float, times, dim: int = 60) -> list[EvolutionResult]:
     psi = np.zeros(dim, dtype=complex)
     psi[0] = 1.0
     results = []
-    previous = 0.0
-    for t in ts:
-        duration = t - previous
-        if duration > 0.0 and lam > 0.0:
-            psi = _rk4_advance(psi, h_mat, lam, duration, _step_count(lam, duration))
-        previous = t
+    for duration in np.diff(ts, prepend=0.0):
+        psi = _rk4_advance(psi, h_mat, lam, duration, _step_count(lam, duration))
         results.append(_observe(psi))
     return results

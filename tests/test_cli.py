@@ -76,7 +76,7 @@ def test_spectrum_to_stdout(capsys):
     assert sum(1 for l in lines if not l.startswith("#")) == 17  # columns + 16 rows
 
 
-def test_byte_determinism_across_runs_and_threads(tmp_path):
+def test_byte_determinism_across_runs(tmp_path):
     paths = [tmp_path / f"run{i}.csv" for i in range(2)]
     assert cli.main(["spectrum", "--points", "200", "--out", str(paths[0])]) == 0
     assert cli.main(["spectrum", "--points", "200", "--out", str(paths[1])]) == 0
@@ -113,6 +113,44 @@ def test_unusable_path_exit_code_2(tmp_path, capsys, case):
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unprintable_scenario_name_exit_code_2(tmp_path, capsys):
+    # a line break in the name would start an unprefixed CSV row inside the "#" header
+    path = _write_scenario(tmp_path, lambda raw: raw.__setitem__("name", "evil\n1,2,3,4,5,6"))
+    out = tmp_path / "x.csv"
+    rc = cli.main(["spectrum", "--points", "16", "--scenario", str(path), "--out", str(out)])
+    assert rc == 2
+    assert "name must be a string of printable characters" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points,read", [(20000, 100), (16, None)], ids=["closed-after-100-bytes", "closed-at-start"])
+def test_closed_stdout_exit_code_2(points, read):
+    # the reader closes the pipe before the table ends (read None: before the command starts): one
+    # error line, and neither a traceback nor a failed flush at interpreter exit; stdout stays
+    # block-buffered, as it is on a pipe by default
+    env = _package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    r, w = os.pipe()
+    reader = open(r, "rb")
+    if read is None:
+        reader.close()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fbar_dce.cli", "spectrum", "--points", str(points)],
+        stdout=w,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    os.close(w)
+    if read is not None:
+        assert len(reader.read(read)) == read
+        reader.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 2
+    assert err.startswith("configuration error: cannot write -: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_negative_decomposition_exit_code_3(tmp_path, capsys):
@@ -524,16 +562,20 @@ def test_percent_template_matches_cell_rule(x, b, i):
     assert "%d" % i == str(i)
 
 
+def _package_env():
+    # the environment of a fresh interpreter that imports this checkout's package
+    package_root = str(Path(fbar_dce.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
 def _run_fresh(args):
     # a fresh interpreter, so sys.modules holds only what this one command imported
     code = (
         "import sys\nfrom fbar_dce import cli\nrc = cli.main(sys.argv[1:])\n"
         "print(rc, any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     )
-    package_root = str(Path(fbar_dce.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=_package_env(), check=True
     )
     rc, scipy_loaded = proc.stdout.split()
     return int(rc), scipy_loaded == "True"

@@ -56,6 +56,14 @@ def _half_point():
     return np.array([0.5 * OMEGA_M])
 
 
+def _guard_heavy_scenario():
+    # low-q with a grid reaching to just below the drive tone and a short window: guard-shifted and guard-band rows
+    raw = preset_raw("low-q")
+    raw["grid"].update(omega_max_hz=4.2e9 - 1e6, points=400)
+    raw["window_time_s"] = 3e-7
+    return scenario_from_raw(raw)
+
+
 def test_thermal_occupation_zero_temperature():
     assert thermal_occupation(0.5 * OMEGA_M, ThermalEnv(0.0)) == 0.0
     grid = np.linspace(0.1, 0.9, 7) * OMEGA_M
@@ -233,6 +241,27 @@ def test_unresolvable_guard_collision_blocks_rows():
         assert np.all(np.isnan(column))
 
 
+@pytest.mark.parametrize("case", ["mixed", "all-guard-band"])
+def test_guard_band_rows_are_not_evaluated(monkeypatch, case):
+    # each thermal occupation call sees the live rows only
+    if case == "mixed":
+        sc = _guard_heavy_scenario()
+        args = (grid_array(sc), sc.cavity, source_config(sc), sc.line, sc.env)
+    else:
+        guard = CFG.guard_band
+        args = (np.array([OMEGA_M - 0.6 * guard, OMEGA_M - 0.5 * guard]), CAV, CFG, LINE, ENV)
+    sizes = []
+
+    def counted(omega, env):
+        sizes.append(np.size(omega))
+        return thermal_occupation(omega, env)
+
+    monkeypatch.setattr("fbar_dce.flux.thermal_occupation", counted)
+    flags = np.array(output_spectrum(*args).flags)
+    assert ("guard-shifted" in flags and "guard-band" in flags) if case == "mixed" else set(flags) == {"guard-band"}
+    assert sizes == [int(np.sum(flags != "guard-band"))] * 3
+
+
 def test_zero_amplitude_sidebands_are_not_guarded():
     # With delta_c = 0 the sidebands at |omega_m -+ omega_d| carry no line, so
     # the grid around the lower one (omega_m / 2) is neither shifted nor blocked,
@@ -390,10 +419,7 @@ def test_vc_ratio_validation():
 def test_lanes_give_the_bits_of_their_scalar_evaluations(swept):
     # a column of three configurations over a grid with guard-shifted and guard-band points;
     # v_pp alone leaves the mixing terms, and so n_thermal, without the lane axis
-    raw = preset_raw("low-q")
-    raw["grid"].update(omega_max_hz=4.2e9 - 1e6, points=400)
-    raw["window_time_s"] = 3e-7
-    sc = scenario_from_raw(raw)
+    sc = _guard_heavy_scenario()
     grid, base = grid_array(sc), source_config(sc)
     lanes = [(5e-4, DELTA_C, 55.0), (3e-6, 0.5 * DELTA_C, 1e4), (2e-3, 4.0 * DELTA_C, 1.0)]
     lanes = [tuple(x if k in swept else lanes[0][k] for k, x in enumerate(lane)) for lane in lanes]

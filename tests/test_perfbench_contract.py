@@ -132,9 +132,27 @@ def test_sweep_rows_match_independent_evaluation(tmp_path_factory, sweep):
     assert rows == [_expected_row(preset, axis, value, pin) for value in values]
 
 
+@pytest.mark.parametrize(
+    "values", [[7.605729761237647e-10], [1e-3, 7.605729761237647e-10]], ids=["alone", "after-failing"]
+)
+def test_single_evaluated_sweep_value_keeps_its_scalar_bits(tmp_path, values):
+    # a sweep that evaluates one value makes the plain scalar call; as a lane of one this value
+    # comes out a few ulp off (n_total ...63989 for ...63963), because numpy multiplies a (1, 1)
+    # by a (1,) complex array in a loop that rounds differently
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--scenario", "high-q", "--axis", "delta_x", "--values", ",".join(map(repr, values))]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[-len(values):]
+    assert rows == [_expected_row("high-q", "delta_x", value, False) for value in values]
+
+
 BYTE_CASES = [
     pytest.param(cmd, id=prefix + cmd.label.replace(" ", "-"))
-    for workload, prefix in (("cli-default", ""), ("sweep-long", "sweep-long-"))
+    for workload, prefix in (
+        ("cli-default", ""),
+        ("sweep-long", "sweep-long-"),
+        ("squeeze-deep", "squeeze-deep-"),
+    )
     for cmd in WORKLOADS.commands(workload, WORKLOADS.DEFAULT_SEED)
 ]
 
