@@ -4,11 +4,10 @@ A coupling capacitor connects the transmission line to a cavity section of
 length length_d terminated by the modulated mirror; the mirror's capacitance
 adds an effective length l_eff, so the round-trip phase is set by
 d_eff = length_d + l_eff. This module provides the input-output transfer
-matrix of the coupling element, propagation to the mirror plane, the cavity
-reflection coefficient, the internal mode response, a guaranteed-bracketing
-resonance solver, and `dressed_coefficients`: the one evaluation of the
-cavity-dressed R, S1, S2 and h over a frequency array that the flux assembly
-consumes.
+matrix of the coupling element, the cavity reflection coefficient, the
+internal mode response, a guaranteed-bracketing resonance solver, and
+`dressed_coefficients`: the one evaluation of the cavity-dressed R, S1, S2
+and h over a frequency array that the flux assembly consumes.
 """
 
 from __future__ import annotations
@@ -86,13 +85,6 @@ def transfer_determinant(m: np.ndarray) -> complex:
     real = math.fsum([a.real * d.real, -a.imag * d.imag, -b.real * c.real, b.imag * c.imag])
     imag = math.fsum([a.real * d.imag, a.imag * d.real, -b.real * c.imag, -b.imag * c.real])
     return complex(real, imag)
-
-
-def propagate(omega: float, cav: CavityParams) -> np.ndarray:
-    """Diagonal phase matrix diag(e^{i*k*d_eff}, e^{-i*k*d_eff}) with k = omega/v_light."""
-    positive_frequencies(omega)
-    phase = np.exp(1j * omega * cav.d_eff / cav.v_light)
-    return np.array([[phase, 0.0], [0.0, np.conj(phase)]], dtype=complex)
 
 
 def _denominator(omega, cav: CavityParams):

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, cavity, flux, scatter, squeeze
 from .brent import minimize_bounded
 from .constants import TWO_PI
-from .errors import ConfigError, NumericalError, SimulationError
+from .errors import MAX_ENTRIES, ConfigError, NumericalError, SimulationError
 from .scenario import (
     Scenario,
     grid_array,
@@ -125,67 +125,64 @@ def _run_resonances(sc: Scenario, args):
     return [], columns, list(zip(*rows))
 
 
-def _sweep_components(sc: Scenario, axis: str, value: float, pin_delta_c_zero: bool):
-    """Per-value configuration: returns (source_config, line)."""
-    line = sc.line
-    delta_x = None
+def _sweep_config(sc: Scenario, axis: str, values: list[float], pin: bool):
+    """(source_config, line) of sweep values, built through source_config as every command's configuration is.
+
+    One value sets the swept field to the value itself. Several set it to an
+    (n, 1) column of lanes, so a value outside a bound fails the whole batch
+    (the bounds hold for every entry). With lanes, v_pp, delta_c and z0 each
+    come back as a contiguous float (n, 1) column, the unswept ones repeated:
+    with those left scalar, numpy rounds some lanes differently from their
+    one-value sweeps.
+    """
+    n = len(values)
+    value = values[0] if n == 1 else np.array(values, dtype=float).reshape(n, 1)
+    line, delta_x = sc.line, None
     if axis == "v_pp":
         sc = replace(sc, drive=replace(sc.drive, v_pp=value))
     elif axis == "q":
         sc = replace(sc, geometry=replace(sc.geometry, quality=value))
     elif axis == "z0":
         # bare prefactor scan: cavity dressing stays at the scenario values
-        line = scatter.LineParams(z0=value, v_light=line.v_light)
+        line = replace(line, z0=value)
     else:  # delta_x: the mirror amplitude itself
         delta_x = value
     cfg = source_config(sc, delta_x)
-    if pin_delta_c_zero:
-        cfg = replace(cfg, cap=replace(cfg.cap, delta_c=0.0))
-    return cfg, line
+
+    def lanes(x):
+        return x if n == 1 else np.full((n, 1), x, dtype=float)
+
+    drive = replace(cfg.drive, v_pp=lanes(cfg.drive.v_pp))
+    cap = replace(cfg.cap, delta_c=lanes(0.0 if pin else cfg.cap.delta_c))
+    return replace(cfg, drive=drive, cap=cap), replace(line, z0=lanes(line.z0))
 
 
-def _sweep_lanes(parts):
-    """One (source_config, line) whose swept fields hold the parts' values as a column of lanes.
+def _sweep_cells(sc: Scenario, args, values: list[float]) -> list[list]:
+    """Row cells of each value, in order, evaluated at the probe omega_m/2.
 
-    A sweep varies only v_pp, delta_c and z0; every other field is the scenario's in every part.
+    The values are built (`_sweep_config`) and evaluated as lanes of one
+    output_spectrum call. A batch that fails, in building or in evaluating,
+    is made again in halves, down to a single value, which is the plain
+    scalar call (a lane of one would not do: numpy multiplies a (1, 1) by a
+    (1,) complex array in a loop that rounds differently): its error class
+    becomes its row's flag, and every row keeps the bits of its own one-value
+    sweep.
     """
-    cfgs, lines = zip(*parts)
-    drive = replace(cfgs[0].drive, v_pp=np.array([[cfg.drive.v_pp] for cfg in cfgs]))
-    cap = replace(cfgs[0].cap, delta_c=np.array([[cfg.cap.delta_c] for cfg in cfgs]))
-    line = replace(lines[0], z0=np.array([[line.z0] for line in lines]))
-    return replace(cfgs[0], drive=drive, cap=cap), line
-
-
-def _sweep_cells(sc: Scenario, probe, parts) -> dict:
-    """{value index: row cells} of the validated (index, (source_config, line)) parts.
-
-    All parts go through one output_spectrum call as lanes. A call that fails
-    is made again on each half, down to a single part, which is the plain
-    per-value call (a lane of one would not do: numpy multiplies a (1, 1) by
-    a (1,) complex array in a loop that rounds differently): its failure
-    becomes its row's flag, and every row keeps the bits of its own
-    per-value evaluation.
-    """
-    if not parts:
-        return {}
-    index, configs = zip(*parts)
+    probe = np.array([sc.geometry.omega_m / 2.0])
     try:
-        cfg, line = configs[0] if len(parts) == 1 else _sweep_lanes(configs)
+        cfg, line = _sweep_config(sc, args.axis, values, args.pin_delta_c_zero)
         table = flux.output_spectrum(probe, sc.cavity, cfg, line, sc.env)
     except SimulationError as exc:
-        if len(parts) == 1:
-            return {index[0]: [np.nan, np.nan, np.nan, np.nan, type(exc).__name__]}
-        half = len(parts) // 2
-        return {**_sweep_cells(sc, probe, parts[:half]), **_sweep_cells(sc, probe, parts[half:])}
+        if len(values) == 1:
+            return [[np.nan, np.nan, np.nan, np.nan, type(exc).__name__]]
+        half = len(values) // 2
+        return _sweep_cells(sc, args, values[:half]) + _sweep_cells(sc, args, values[half:])
     lanes = [np.ravel(column) for column in (table.n_total, table.n_dce, table.n_thermal, table.n_mech_only)]
-    return {i: [*numbers, table.flags[0]] for i, numbers in zip(index, zip(*lanes))}
+    return [[*numbers, table.flags[0]] for numbers in zip(*lanes)]
 
 
 def _run_sweep(sc: Scenario, args):
-    """One row per value at the probe omega_m/2, each with its own flag.
-
-    Each value is validated alone; all that validate are evaluated in one array pass (`_sweep_cells`).
-    """
+    """One row per value at the probe omega_m/2, each with its own flag (`_sweep_cells`)."""
     values = []
     for chunk in args.values.split(","):
         try:
@@ -194,23 +191,14 @@ def _run_sweep(sc: Scenario, args):
             raise ConfigError(f"sweep value {chunk!r} is not a number") from exc
     if any(not np.isfinite(v) or v <= 0.0 for v in values):
         raise ConfigError("sweep values must be positive and finite")
-    om = sc.geometry.omega_m
-    probe = np.array([om / 2.0])
-    cells, parts = {}, []
-    for i, value in enumerate(values):
-        try:
-            parts.append((i, _sweep_components(sc, args.axis, value, args.pin_delta_c_zero)))
-        except SimulationError as exc:
-            cells[i] = [np.nan, np.nan, np.nan, np.nan, type(exc).__name__]
-    cells.update(_sweep_cells(sc, probe, parts))
-    rows = [[args.axis, value, 0.5] + cells[i] for i, value in enumerate(values)]
+    rows = [[args.axis, value, 0.5] + cells for value, cells in zip(values, _sweep_cells(sc, args, values))]
     columns = ["axis", "value", "omega_probe_over_omega_m", "n_total", "n_dce", "n_thermal", "n_mech_only", "flags"]
     return [], columns, list(zip(*rows))
 
 
 def _run_squeeze(sc: Scenario, args):
-    if args.samples < 2:
-        raise ConfigError("--samples must be >= 2")
+    if not 2 <= args.samples <= MAX_ENTRIES:
+        raise ConfigError(f"--samples must lie in [2, {MAX_ENTRIES}]")
     if not 0.0 < args.t_max <= 2.0:
         raise ConfigError("--t-max must lie in (0, 2]")
     lam = squeeze.squeeze_coupling(squeeze_params(sc))

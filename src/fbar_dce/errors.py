@@ -6,7 +6,12 @@ exit with code 2, numerical failures (denominator underflow, non-converged
 root refinement, guard-band evaluation) exit with code 3.
 """
 
+import sys
+
 import numpy as np
+
+# most entries of one array: numpy indexes at most sys.maxsize bytes, and the widest entry (complex128) takes 16
+MAX_ENTRIES = sys.maxsize // 16
 
 
 class SimulationError(Exception):

@@ -32,7 +32,7 @@ import numpy as np
 from .cavity import CavityParams, dressed_coefficients
 from .constants import HBAR, K_B
 from .errors import ConfigError, NumericalError, check_fields, positive_frequencies
-from .scatter import LineParams, SourceConfig, h_coefficient, s_coefficient, tones
+from .scatter import LineParams, SourceConfig, guard_band, h_coefficient, s_coefficient, tones
 
 _NEGATIVE_ROUNDOFF_FLOOR = -1e-15
 
@@ -63,9 +63,6 @@ class SpectrumTable:
     n_mech_only: np.ndarray
     flags: tuple[str, ...]
 
-    def __len__(self) -> int:
-        return len(self.omega)
-
 
 class ScalingReport(NamedTuple):
     s_ratio: float
@@ -91,13 +88,14 @@ def _resolve_guard_collisions(grid: np.ndarray, cfg: SourceConfig) -> tuple[np.n
     # shift points at guard-band edges of scatter.tones outward by one grid step; tag what
     # moved. Each tone shifts from the original point, and a later tone overrides an earlier one.
     flags = np.full(len(grid), "", dtype="<U13")
-    step = grid[1] - grid[0] if len(grid) > 1 else cfg.guard_band
+    guard = guard_band(cfg.window_time)
+    step = grid[1] - grid[0] if len(grid) > 1 else guard
     out = grid.copy()
     for _, nu, _ in tones(cfg):
-        idx = np.flatnonzero(np.abs(grid - nu) < cfg.guard_band)
+        idx = np.flatnonzero(np.abs(grid - nu) < guard)
         w = grid[idx]
         shifted = np.where(w >= nu, w + step, w - step)
-        blocked = np.abs(shifted - nu) < cfg.guard_band
+        blocked = np.abs(shifted - nu) < guard
         out[idx[~blocked]] = shifted[~blocked]
         flags[idx[blocked]] = "guard-band"
         flags[idx[~blocked]] = "guard-shifted"

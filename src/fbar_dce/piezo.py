@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import EPS0
-from .errors import ConfigError, UnderflowError, ValidityError, check_fields
+from .errors import ConfigError, UnderflowError, ValidityError, check_fields, holds
 
 # Fractional displacement bound below which the first-order expansion of the
 # plate capacitance keeps the discarded quadratic term under 1e-4 relative.
@@ -68,7 +68,7 @@ class FbarGeometry:
     area : float
         Electrode area [m^2].
     quality : float
-        Mechanical quality factor (>= 1).
+        Mechanical quality factor (>= 1); may hold an array of lanes, each entry >= 1.
     omega_m : float
         Angular frequency of the thickness mode [rad/s].
     """
@@ -80,7 +80,7 @@ class FbarGeometry:
 
     def __post_init__(self):
         check_fields(self, "geometry", positive=("t_piezo", "area", "omega_m"))
-        if not self.quality >= 1.0:
+        if not holds(self.quality >= 1.0):
             raise ConfigError("geometry.quality must be >= 1")
 
 
@@ -199,9 +199,10 @@ def delta_capacitance(
     Parameters
     ----------
     mat, geo : MaterialProps, FbarGeometry
-    delta_x : float
-        Motional amplitude [m]; must satisfy delta_x < t_piezo / 100 so that
-        the first-order expansion C0 * (1 + delta_x/t) is valid.
+    delta_x : float or ndarray
+        Motional amplitude [m]; must satisfy 0 <= delta_x < t_piezo / 100 so
+        that the first-order expansion C0 * (1 + delta_x/t) is valid. An array
+        of lanes must satisfy it in every entry, and delta_c then has its shape.
     c0 : float, optional
         Measured plate capacitance [F]. When omitted it is computed from the
         parallel-plate formula permittivity * area / t_piezo.
@@ -211,11 +212,11 @@ def delta_capacitance(
     (c0, delta_c) : tuple of float
         Static capacitance and modulation amplitude delta_c = c0 * delta_x / t [F].
     """
-    if not delta_x >= 0.0:
+    if not holds(delta_x >= 0.0):
         raise ConfigError("delta_x must be non-negative")
-    if delta_x >= geo.t_piezo * CAP_EXPANSION_BOUND:
+    if not holds(delta_x < geo.t_piezo * CAP_EXPANSION_BOUND):
         raise ValidityError(
-            f"delta_x = {delta_x:.3e} m exceeds t_piezo/100 = "
+            f"delta_x = {np.max(delta_x):.3e} m exceeds t_piezo/100 = "
             f"{geo.t_piezo * CAP_EXPANSION_BOUND:.3e} m; first-order capacitance expansion invalid"
         )
     if c0 is None:

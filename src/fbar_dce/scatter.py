@@ -84,11 +84,6 @@ class SourceConfig:
                 f"window_time must exceed 100 modulation periods = {min_window:.3e} s"
             )
 
-    @property
-    def guard_band(self) -> float:
-        """`guard_band` of this window [rad/s]."""
-        return guard_band(self.window_time)
-
 
 def guard_band(window_time: float) -> float:
     """Half-width [rad/s] of the line-dominated neighborhood of each tone."""
@@ -201,11 +196,10 @@ def source_spectrum(cfg: SourceConfig, omega):
     w = positive_frequencies(omega)
     jump = _turn_on_jump(cfg)
     total = np.full(np.broadcast_shapes(w.shape, np.shape(jump)), jump, dtype=complex)
+    guard = guard_band(cfg.window_time)
     for amp, nu, phi in tones(cfg):
-        if np.any(np.abs(w - nu) < cfg.guard_band):
-            raise GuardBandError(
-                f"omega within guard band ({cfg.guard_band:.3e} rad/s) of drive tone at {nu:.6e} rad/s"
-            )
+        if np.any(np.abs(w - nu) < guard):
+            raise GuardBandError(f"omega within guard band ({guard:.3e} rad/s) of drive tone at {nu:.6e} rad/s")
         total = total - (amp * nu / 2.0) * (
             np.exp(1j * phi) / (w + nu) - np.exp(-1j * phi) / (w - nu)
         )

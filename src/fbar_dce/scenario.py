@@ -18,7 +18,7 @@ import numpy as np
 
 from .cavity import CavityParams
 from .constants import EPS0, TWO_PI
-from .errors import ConfigError
+from .errors import MAX_ENTRIES, ConfigError
 from .flux import ThermalEnv
 from .mbvd import MbvdParams
 from .piezo import DriveParams, FbarGeometry, MaterialProps, delta_capacitance, driven_amplitude
@@ -205,9 +205,10 @@ def scenario_from_raw(raw: dict) -> Scenario:
     line = LineParams(**fields["line"])
     cavity = CavityParams(**fields["cavity"], l_eff=effective_length(mbvd.c_plate, line))
     env = ThermalEnv(**fields["environment"])
-    if not isinstance(raw["grid"]["points"], int) or raw["grid"]["points"] < 2:
-        raise ConfigError("field grid.points must be an integer >= 2")
-    grid = GridSpec(**{**fields["grid"], "points": raw["grid"]["points"]})
+    points = raw["grid"]["points"]
+    if not isinstance(points, int) or not 2 <= points <= MAX_ENTRIES:
+        raise ConfigError(f"field grid.points must be an integer in [2, {MAX_ENTRIES}]")
+    grid = GridSpec(**{**fields["grid"], "points": points})
     if not 0.0 < grid.omega_min < grid.omega_max < geometry.omega_m:
         raise ConfigError("grid must satisfy 0 < omega_min < omega_max < geometry omega_m")
     window_time = float(raw["window_time_s"])  # its invariant is enforced by SourceConfig below

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, RwaViolationError, ValidityError, check_fields
+from .errors import MAX_ENTRIES, ConfigError, RwaViolationError, ValidityError, check_fields
 from .piezo import CAP_EXPANSION_BOUND
 
 RK4_STEP_BOUND = 5e-4  # dimensionless step 2*lambda*h per integrator step
@@ -145,8 +145,8 @@ def evolve_series(lam: float, times, dim: int = 60) -> list[EvolutionResult]:
         raise ConfigError("lam must be non-negative")
     if not (np.all(ts >= 0.0) and np.all(np.diff(ts) > 0.0)):
         raise ConfigError("times must be non-negative and strictly increasing")
-    if dim < 16:
-        raise ConfigError("dim must be >= 16")
+    if not (dim >= 16 and dim**2 <= MAX_ENTRIES):  # the dim x dim generator must be addressable
+        raise ConfigError(f"dim must be >= 16 with dim**2 <= {MAX_ENTRIES}")
     if len(ts) and 2.0 * lam * ts[-1] > 2.0:
         raise ValidityError("2*lambda*t must stay <= 2 for the truncated evolution")
     h_mat = pair_creation_matrix(dim)

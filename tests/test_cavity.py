@@ -21,7 +21,6 @@ from fbar_dce.cavity import (
     dressed_coefficients,
     inout_transfer,
     mode_response,
-    propagate,
     reflection_coefficient,
     resonance_residual,
     transfer_determinant,
@@ -80,19 +79,6 @@ def test_inout_transfer_decoupled_identity():
     assert np.array_equal(m, np.eye(2, dtype=complex))
     with pytest.raises(ConfigError):
         inout_transfer(0.0, OMEGA_C)
-
-
-def test_propagate_properties():
-    m = propagate(0.37 * OMEGA_0, CAV)
-    assert m[0, 1] == 0.0 and m[1, 0] == 0.0
-    assert abs(m[0, 0]) == pytest.approx(1.0, abs=1e-15)
-    assert m[1, 1] == np.conj(m[0, 0])
-    # a full-wavelength cavity adds a 2*pi phase: identity again
-    full_turn = propagate(CAV.omega_0, CAV)
-    assert full_turn[0, 0] == pytest.approx(1.0, abs=1e-12)
-    # the zero-length limit also degenerates to the identity
-    short = CavityParams(length_d=1e-12, v_light=1.0e8, omega_coupling=OMEGA_C, l_eff=0.0)
-    assert propagate(1e3, short)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reflection_unimodular_on_grid():

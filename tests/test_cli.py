@@ -207,8 +207,15 @@ def test_finite_scenario_number_breaking_float_arithmetic_exit_code_3(tmp_path, 
 
 @pytest.mark.parametrize(
     "args",
-    [["squeeze", "--dim", str(10**7)], ["spectrum", "--points", str(10**14)]],
-    ids=lambda args: args[0],
+    [
+        pytest.param(["squeeze", "--dim", str(10**7)], id="squeeze"),
+        pytest.param(["spectrum", "--points", str(10**14)], id="spectrum"),
+        # beyond what numpy can index at all: the size bounds reject these before any allocation
+        pytest.param(["spectrum", "--points", str(10**20)], id="spectrum-points-1e20"),
+        pytest.param(["spectrum", "--points", str(2**63 - 1)], id="spectrum-points-maxsize"),
+        pytest.param(["squeeze", "--dim", str(2**32)], id="squeeze-dim-2**32"),
+        pytest.param(["squeeze", "--samples", str(2**63 - 1)], id="squeeze-samples-maxsize"),
+    ],
 )
 def test_size_too_large_to_allocate_exit_code_2(tmp_path, capsys, args):
     # each needs an array beyond the 128 TiB user address space, so allocation fails at once
@@ -468,7 +475,7 @@ def _cell_by_cell_text(path, command):
     if command == "decompose":
         columns.append("n_dce_electrical")
     lines = [f"# {line}" for line in cli._header(sc, command)] + [",".join(columns + ["flags"])]
-    for i in range(len(table)):
+    for i in range(len(table.omega)):
         row = [
             table.omega[i] / sc.geometry.omega_m,
             table.n_total[i],

@@ -16,7 +16,7 @@ import pytest
 
 from fbar_dce.cavity import CavityParams, dressed_coefficients
 from fbar_dce.constants import HBAR, K_B, TWO_PI
-from fbar_dce.errors import ConfigError, NumericalError
+from fbar_dce.errors import ConfigError, NumericalError, ValidityError
 from fbar_dce.flux import (
     ThermalEnv,
     _resolve_guard_collisions,
@@ -26,9 +26,9 @@ from fbar_dce.flux import (
     thermal_occupation,
     vc_ratio,
 )
-from fbar_dce.piezo import DriveParams
-from fbar_dce.scatter import LineParams, SourceConfig, TimeVaryingCap, source_spectrum
-from fbar_dce.scenario import grid_array, preset_raw, scenario_from_raw, source_config
+from fbar_dce.piezo import DriveParams, FbarGeometry, delta_capacitance
+from fbar_dce.scatter import LineParams, SourceConfig, TimeVaryingCap, guard_band, source_spectrum
+from fbar_dce.scenario import PRESET_NAMES, grid_array, preset_raw, scenario_from_raw, source_config
 
 OMEGA_M = TWO_PI * 4.2e9
 DELTA_C = 9.772533550193697e-19
@@ -219,7 +219,7 @@ def test_zero_voltage_modulation_mech_equals_dce():
 
 
 def test_guard_collision_shifts_point_one_grid_step():
-    guard = CFG.guard_band
+    guard = guard_band(CFG.window_time)
     grid = np.array([0.5 * OMEGA_M, OMEGA_M - 0.5 * guard])
     table = output_spectrum(grid, CAV, CFG, LINE, ENV)
     assert table.flags == ("", "guard-shifted")
@@ -230,7 +230,7 @@ def test_guard_collision_shifts_point_one_grid_step():
 
 
 def test_unresolvable_guard_collision_blocks_rows():
-    guard = CFG.guard_band
+    guard = guard_band(CFG.window_time)
     # Two points inside the guard band of the modulation tone, so close
     # together that a one-step shift stays inside the band.
     grid = np.array([OMEGA_M - 0.6 * guard, OMEGA_M - 0.5 * guard])
@@ -248,7 +248,7 @@ def test_guard_band_rows_are_not_evaluated(monkeypatch, case):
         sc = _guard_heavy_scenario()
         args = (grid_array(sc), sc.cavity, source_config(sc), sc.line, sc.env)
     else:
-        guard = CFG.guard_band
+        guard = guard_band(CFG.window_time)
         args = (np.array([OMEGA_M - 0.6 * guard, OMEGA_M - 0.5 * guard]), CAV, CFG, LINE, ENV)
     sizes = []
 
@@ -283,15 +283,16 @@ def _scalar_guard_resolution(grid, cfg):
     flags = [""] * len(grid)
     if cfg.drive.v_pp == 0.0:
         return grid, flags
-    step = grid[1] - grid[0] if len(grid) > 1 else cfg.guard_band
+    guard = guard_band(cfg.window_time)
+    step = grid[1] - grid[0] if len(grid) > 1 else guard
     tones = [cfg.drive.omega_d, cfg.cap.omega_m + cfg.drive.omega_d, cfg.cap.omega_m - cfg.drive.omega_d]
     tones = [abs(nu) for nu in tones if nu != 0.0]
     out = grid.copy()
     for i, w in enumerate(grid):
         for nu in tones:
-            if abs(w - nu) < cfg.guard_band:
+            if abs(w - nu) < guard:
                 shifted = w + step if w >= nu else w - step
-                if abs(shifted - nu) < cfg.guard_band:
+                if abs(shifted - nu) < guard:
                     flags[i] = "guard-band"
                 else:
                     out[i] = shifted
@@ -300,7 +301,7 @@ def _scalar_guard_resolution(grid, cfg):
 
 
 def test_guard_resolution_matches_scalar_loop():
-    guard = CFG.guard_band
+    guard = guard_band(CFG.window_time)
     # tones at 0.3, 1.3 and 0.7 omega_m; then two tones half a guard band
     # either side of omega_m / 2, whose guard bands overlap
     cases = []
@@ -446,6 +447,39 @@ def test_lane_fields_check_every_entry():
         lambda: replace(CAP, delta_c=np.array([[DELTA_C], [CAP.c0]])),
         lambda: DriveParams(v_pp=np.array([[5e-4], [-1e-30]]), omega_d=OMEGA_M),
         lambda: LineParams(z0=np.array([[55.0], [math.nan]]), v_light=1e8),
+        lambda: FbarGeometry(t_piezo=3.5e-7, area=7.7e-10, quality=np.array([[2.0], [0.5]]), omega_m=OMEGA_M),
     ):
         with pytest.raises(ConfigError):
             make()
+    # delta_capacitance: an entry beyond t_piezo/100 breaks the expansion, and NaN is a bad value, not a breach
+    sc = scenario_from_raw(preset_raw("low-q"))
+    bound = sc.geometry.t_piezo / 100.0
+    with pytest.raises(ValidityError):
+        delta_capacitance(sc.material, sc.geometry, np.array([[1e-12], [bound]]))
+    with pytest.raises(ConfigError) as nan_entry:
+        delta_capacitance(sc.material, sc.geometry, np.array([[1e-12], [math.nan]]))
+    assert nan_entry.type is ConfigError
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_evaluation_does_not_depend_on_grid_split(preset):
+    """Contiguous blocks of 1, 7 and 1000 rows, concatenated, give the whole grid's bits.
+
+    This pins the evaluation's array shapes, one-row blocks included, for any
+    change that evaluates the spectrum per row block. Guard resolution is not
+    split-invariant: its shift step comes from the grid it is given (split
+    after 9999 rows, perfbench's generated scenario at 20 000 points moves its
+    one guard-shifted row), so such a change must resolve guard bands on the
+    whole grid.
+    """
+    sc = scenario_from_raw(preset_raw(preset))
+    grid, cfg = grid_array(sc), source_config(sc)
+    whole = output_spectrum(grid, sc.cavity, cfg, sc.line, sc.env)
+    for size in (1, 7, 1000):
+        blocks = [
+            output_spectrum(grid[i : i + size], sc.cavity, cfg, sc.line, sc.env) for i in range(0, len(grid), size)
+        ]
+        assert sum((block.flags for block in blocks), ()) == whole.flags
+        for name in ("omega", "n_total", "n_dce", "n_thermal", "n_mech_only"):
+            joined = np.concatenate([getattr(block, name) for block in blocks])
+            assert joined.tobytes() == getattr(whole, name).tobytes(), (size, name)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from fbar_dce.cavity import inout_transfer, mode_response, propagate, reflection_coefficient
+from fbar_dce.cavity import inout_transfer, mode_response, reflection_coefficient
 from fbar_dce.errors import ConfigError
 from fbar_dce.flux import thermal_occupation
 from fbar_dce.mbvd import composite_quality, equivalent_impedance, motional_impedance, plate_impedance
@@ -25,7 +25,6 @@ CALLS = {
     "reflection_coefficient": (lambda w: reflection_coefficient(w, SC.cavity), True),
     "mode_response": (lambda w: mode_response(w, SC.cavity), True),
     "inout_transfer": (lambda w: inout_transfer(w, SC.cavity.omega_coupling), False),
-    "propagate": (lambda w: propagate(w, SC.cavity), False),
     "source_spectrum": (lambda w: source_spectrum(CFG, w), True),
     "windowed_source_transform": (lambda w: windowed_source_transform(CFG, w), True),
     "h_coefficient": (lambda w: h_coefficient(w, CFG, SC.line), True),

@@ -21,6 +21,7 @@ from fbar_dce.scatter import (
     TimeVaryingCap,
     capacitance_at,
     effective_length,
+    guard_band,
     h_coefficient,
     line_weights,
     s_coefficient,
@@ -194,7 +195,7 @@ def test_source_spectrum_zero_voltage_even_on_line():
 
 
 def test_source_spectrum_guard_band():
-    gb = CFG.guard_band
+    gb = guard_band(CFG.window_time)
     assert gb == pytest.approx(100.0 / CFG.window_time, rel=1e-15)
     with pytest.raises(GuardBandError):
         source_spectrum(CFG, OMEGA_M)
