@@ -114,17 +114,22 @@ def _observe(psi: np.ndarray) -> EvolutionResult:
     return EvolutionResult(mean, defect, top_two > TRUNCATION_POPULATION_BOUND, odd)
 
 
-def _rk4_advance(psi: np.ndarray, h_mat: np.ndarray, lam: float, duration: float, steps: int) -> np.ndarray:
-    # classic fixed-step rk4 on dpsi/dt = -i*lambda*H psi
+def _rk4_advance(u: np.ndarray, m: np.ndarray, x: np.ndarray, duration: float, steps: int) -> np.ndarray:
+    # classic fixed-step rk4 on du/dt = m x, where m holds the even rows of
+    # -i*lambda*H and x is the full-length state: u in its even entries, 0 in its odd
     dt = duration / steps
-    m = -1j * lam * h_mat
+
+    def rate(v):
+        x[0::2] = v
+        return m @ x
+
     for _ in range(steps):
-        k1 = m @ psi
-        k2 = m @ (psi + 0.5 * dt * k1)
-        k3 = m @ (psi + 0.5 * dt * k2)
-        k4 = m @ (psi + dt * k3)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return psi
+        k1 = rate(u)
+        k2 = rate(u + 0.5 * dt * k1)
+        k3 = rate(u + 0.5 * dt * k2)
+        k4 = rate(u + dt * k3)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return u
 
 
 def _step_count(lam: float, duration: float) -> int:
@@ -139,6 +144,14 @@ def evolve_series(lam: float, times, dim: int = 60) -> list[EvolutionResult]:
     below 5e-4. Valid for dim >= 16 and 2*lambda*t <= 2; population reaching
     the top two levels beyond 1e-8 sets the truncation flag. A zero-length
     interval and lambda = 0 are ordinary steps that add only zeros to the state.
+
+    Pair creation couples n only to n +- 2, so from vacuum the odd amplitudes
+    stay exactly 0 and only the ceil(dim/2) even levels are evolved. Their rate
+    is the even rows of -i*lambda*H, every column kept, times the full-length
+    state: each row is then the same dot product as on the full basis and keeps
+    its bits (cutting the odd columns changes how BLAS blocks a row). The
+    full-length state is also what is observed, since np.sum's pairwise
+    grouping depends on the vector's length.
     """
     ts = np.asarray(times, dtype=float)
     if not lam >= 0.0:
@@ -149,11 +162,13 @@ def evolve_series(lam: float, times, dim: int = 60) -> list[EvolutionResult]:
         raise ConfigError(f"dim must be >= 16 with dim**2 <= {MAX_ENTRIES}")
     if len(ts) and 2.0 * lam * ts[-1] > 2.0:
         raise ValidityError("2*lambda*t must stay <= 2 for the truncated evolution")
-    h_mat = pair_creation_matrix(dim)
-    psi = np.zeros(dim, dtype=complex)
-    psi[0] = 1.0
+    m = (-1j * lam) * pair_creation_matrix(dim)[0::2]
+    x = np.zeros(dim, dtype=complex)
+    u = np.zeros(len(m), dtype=complex)
+    u[0] = 1.0
     results = []
     for duration in np.diff(ts, prepend=0.0):
-        psi = _rk4_advance(psi, h_mat, lam, duration, _step_count(lam, duration))
-        results.append(_observe(psi))
+        u = _rk4_advance(u, m, x, duration, _step_count(lam, duration))
+        x[0::2] = u
+        results.append(_observe(x))
     return results

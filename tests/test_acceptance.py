@@ -233,6 +233,8 @@ def test_criterion_11_squeezing_oracle():
         abs(res.mean_photons - analytic_photon_number(lam, t))
         for t, res in zip(times, results)
     )
+    # 0 by construction, since only even levels are evolved; parity is tested against the
+    # full basis in tests/test_squeeze.py::test_even_level_evolution_matches_full_basis_bits.
     parity = max(res.odd_population for res in results)
     defect = max(abs(res.norm_defect) for res in results)
     runtime = time.perf_counter() - start
