@@ -3,11 +3,11 @@ voltage-driven piezoelectric film resonator terminating a superconducting cavity
 
 Modules
 -------
-piezo     piezoelectric drive response: displacement, motional amplitude, capacitance modulation
-mbvd      modified Butterworth-Van Dyke equivalent circuit of the film resonator
-scatter   single-mirror scattering: time-varying capacitance, source term, bare coefficients
-cavity    cavity dressing: input-output transfer, reflection, mode response, resonances
-flux      output photon spectral density, decompositions, and scaling laws
+piezo     film resonator: parameter types incl. the MBVD circuit, motional amplitude, capacitance modulation
+scatter   single-mirror scattering: time-varying capacitance, source spectrum, bare coefficients
+cavity    cavity dressing: reflection, mode response, resonances
+brent     numpy-only ports of SciPy's Brent root finder and bounded minimizer
+flux      output photon spectral density and its decompositions
 squeeze   parametric (squeezing-Hamiltonian) picture with a truncated number-basis evolution
 scenario  parameter presets, JSON scenario loading and validation
 cli       command-line front end producing deterministic CSV tables

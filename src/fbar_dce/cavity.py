@@ -3,11 +3,10 @@
 A coupling capacitor connects the transmission line to a cavity section of
 length length_d terminated by the modulated mirror; the mirror's capacitance
 adds an effective length l_eff, so the round-trip phase is set by
-d_eff = length_d + l_eff. This module provides the input-output transfer
-matrix of the coupling element, the cavity reflection coefficient, the
-internal mode response, a guaranteed-bracketing resonance solver, and
-`dressed_coefficients`: the one evaluation of the cavity-dressed R, S1, S2
-and h over a frequency array that the flux assembly consumes.
+d_eff = length_d + l_eff. This module provides the cavity reflection
+coefficient, the internal mode response, a guaranteed-bracketing resonance
+solver, and `dressed_coefficients`: the one evaluation of the cavity-dressed
+R, S1, S2 and h over a frequency array that the flux assembly consumes.
 """
 
 from __future__ import annotations
@@ -58,33 +57,6 @@ class DressedCoefficients(NamedTuple):
     s2_res: np.ndarray
     h_res: np.ndarray
     h_res_static: np.ndarray  # h_res with the modulation removed (delta_c = 0)
-
-
-def inout_transfer(omega: float, omega_coupling: float) -> np.ndarray:
-    """2x2 transfer matrix of the coupling element at omega > 0.
-
-    With alpha = 1 + i*omega_coupling/(2*omega) and beta = i*omega_coupling/(2*omega),
-    the matrix is [[conj(alpha), beta], [conj(beta), alpha]]; its determinant
-    |alpha|^2 - |beta|^2 equals 1 identically.
-    """
-    positive_frequencies(omega)
-    x = omega_coupling / (2.0 * omega)
-    alpha = 1.0 + 1j * x
-    beta = 1j * x
-    return np.array([[np.conj(alpha), beta], [np.conj(beta), alpha]], dtype=complex)
-
-
-def transfer_determinant(m: np.ndarray) -> complex:
-    """Determinant of a 2x2 complex matrix with exactly-cancelling accumulation.
-
-    The naive |alpha|^2 - |beta|^2 rounds the large equal terms before
-    subtracting; summing the eight real products with math.fsum keeps the
-    cancellation exact.
-    """
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    real = math.fsum([a.real * d.real, -a.imag * d.imag, -b.real * c.real, b.imag * c.imag])
-    imag = math.fsum([a.real * d.imag, a.imag * d.real, -b.real * c.imag, -b.imag * c.real])
-    return complex(real, imag)
 
 
 def _denominator(omega, cav: CavityParams):

@@ -18,21 +18,20 @@ scatter), so a parameter sweep is one spectrum pass: guard resolution, the
 cavity denominator, the mode responses and the thermal occupations run once
 for all its values. The S-type terms are window-independent occupation
 densities; the h term uses the steady (window-independent) part of the source
-spectrum, with the coherent drive lines accounted separately via
-scatter.line_weights.
+spectrum, with the coherent drive lines split off and their guard bands
+excluded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cavity import CavityParams, dressed_coefficients
 from .constants import HBAR, K_B
 from .errors import ConfigError, NumericalError, check_fields, positive_frequencies
-from .scatter import LineParams, SourceConfig, guard_band, h_coefficient, s_coefficient, tones
+from .scatter import LineParams, SourceConfig, guard_band, tones
 
 _NEGATIVE_ROUNDOFF_FLOOR = -1e-15
 
@@ -62,18 +61,6 @@ class SpectrumTable:
     n_thermal: np.ndarray
     n_mech_only: np.ndarray
     flags: tuple[str, ...]
-
-
-class ScalingReport(NamedTuple):
-    s_ratio: float
-    h_ratio: float
-    mech_flux_ratio: float
-    mech_electrical_improvement: float
-
-
-class ScalingExponents(NamedTuple):
-    exponent_delta_x: float
-    exponent_v_light: float
 
 
 def thermal_occupation(omega, env: ThermalEnv):
@@ -169,67 +156,3 @@ def output_spectrum(
         n_mech_only=_on_grid(n_mech_only, live),
         flags=tuple(flags.tolist()),
     )
-
-
-def impedance_scaling_check(
-    cav: CavityParams, cfg: SourceConfig, line: LineParams, factor: float
-) -> ScalingReport:
-    """Measured response of the bare coefficients to scaling z0 by `factor`.
-
-    The mixing amplitude is linear in z0 and the drive-sourced amplitude goes
-    as sqrt(z0), so the mechanical flux (quadratic in the mixing amplitude)
-    gains factor^2 while the mechanical-to-electrical flux ratio improves by
-    factor. Cavity dressing is held fixed: only the line impedance prefactors
-    are rescaled.
-    """
-    if not factor > 0.0:
-        raise ConfigError("factor must be strictly positive")
-    if cfg.drive.v_pp == 0.0:
-        raise ConfigError("impedance scaling ratios undefined for v_pp = 0")
-    probe = cfg.cap.omega_m / 2.0
-    scaled_line = LineParams(z0=line.z0 * factor, v_light=line.v_light)
-    s_base = abs(s_coefficient(cfg.cap.delta_c, line.z0, probe, cfg.cap.omega_m + probe))
-    s_scaled = abs(s_coefficient(cfg.cap.delta_c, scaled_line.z0, probe, cfg.cap.omega_m + probe))
-    h_base = abs(h_coefficient(probe, cfg, line))
-    h_scaled = abs(h_coefficient(probe, cfg, scaled_line))
-    s_ratio = s_scaled / s_base
-    h_ratio = h_scaled / h_base
-    return ScalingReport(
-        s_ratio=s_ratio,
-        h_ratio=h_ratio,
-        mech_flux_ratio=s_ratio**2,
-        mech_electrical_improvement=s_ratio**2 / h_ratio**2,
-    )
-
-
-def vc_ratio(delta_x: float, omega_m: float, v_light: float) -> float:
-    """Peak mirror velocity over signal speed: delta_x * omega_m / v_light."""
-    if not (delta_x >= 0.0 and omega_m > 0.0 and v_light > 0.0):
-        raise ConfigError("vc_ratio requires delta_x >= 0 and positive frequencies/speeds")
-    return delta_x * omega_m / v_light
-
-
-def resonant_rate_scaling(cav: CavityParams, cfg: SourceConfig, line: LineParams) -> ScalingExponents:
-    """Fitted scaling exponents of the mechanical flux at half the modulation frequency.
-
-    Doubling the motional amplitude doubles delta_c, so the mechanical flux
-    |S2_res|^2 should fit an exponent of exactly 2 versus delta_x; holding the
-    line's capacitance density fixed while varying the signal speed scales
-    z0 = 1/(cap_density * v) inversely, so the same flux fits an exponent of
-    -2 versus v_light. Dressing is held fixed in both fits, and each point is
-    |S2_res|^2 of `dressed_coefficients`, the evaluation the spectrum uses.
-    """
-    probe = np.array([cfg.cap.omega_m / 2.0])
-
-    def mech_flux(delta_c: float, scaled_line: LineParams) -> float:
-        scaled_cfg = replace(cfg, cap=replace(cfg.cap, delta_c=delta_c))
-        return abs(dressed_coefficients(probe, cav, scaled_cfg, scaled_line).s2_res[0]) ** 2
-
-    multipliers = np.array([1.0, 2.0, 4.0])
-    flux_dx = [mech_flux(m * cfg.cap.delta_c, line) for m in multipliers]
-    exp_dx = float(np.polyfit(np.log(multipliers), np.log(flux_dx), 1)[0])
-
-    speeds = np.array([line.v_light, 2.0 * line.v_light])
-    flux_v = [mech_flux(cfg.cap.delta_c, LineParams(z0=1.0 / (line.cap_density * v), v_light=v)) for v in speeds]
-    exp_v = float(np.polyfit(np.log(speeds), np.log(flux_v), 1)[0])
-    return ScalingExponents(exponent_delta_x=exp_dx, exponent_v_light=exp_v)

@@ -1,9 +1,10 @@
 """Piezoelectric drive response of a thin-film bulk acoustic resonator.
 
-An AC voltage across the film produces a static thickness change, a
-fractional detuning of the thickness mode, a resonantly enhanced motional
-amplitude, and — through the moving electrode — a modulation of the plate
-capacitance. All operations are pure functions of their inputs.
+A resonant AC voltage across the film produces a resonantly enhanced
+motional amplitude and, through the moving electrode, a modulation of the
+plate capacitance. The film resonator's parameter types live here: material,
+geometry, drive and the lumped elements of its equivalent circuit. All
+operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import EPS0
-from .errors import ConfigError, UnderflowError, ValidityError, check_fields, holds
+from .errors import ConfigError, ValidityError, check_fields, holds
 
 # Fractional displacement bound below which the first-order expansion of the
 # plate capacitance keeps the discarded quadratic term under 1e-4 relative.
@@ -108,54 +109,41 @@ class DriveParams:
             raise ConfigError("drive.phase must be finite")
 
 
-def static_response(mat: MaterialProps, geo: FbarGeometry, v: float) -> tuple[float, float]:
-    """DC response of the film to an electrode voltage.
+@dataclass(frozen=True)
+class MbvdParams:
+    """Lumped-element values of the modified Butterworth-Van Dyke (MBVD) equivalent circuit.
+
+    Six lumped elements: a motional branch (r_m, l_m, c_m in series) in
+    parallel with a lossy plate branch (r_0 in series with c_plate), plus an
+    electrode series resistance r_s that is carried in the parameter set but
+    excluded from the two-branch reduction. The commands read only c_plate.
 
     Parameters
     ----------
-    mat, geo : MaterialProps, FbarGeometry
-    v : float
-        Electrode voltage [V].
-
-    Returns
-    -------
-    delta_z : float
-        Magnitude of the static thickness change, d33 * |v| [m].
-    freq_shift_fraction : float
-        Fractional shift of the thickness-mode frequency, d33 * v / t [1].
+    c_m : float
+        Motional capacitance [F].
+    l_m : float
+        Motional inductance [H].
+    r_m : float
+        Motional (acoustic-loss) resistance [Ohm].
+    r_0 : float
+        Dielectric-loss resistance in the plate branch [Ohm].
+    r_s : float
+        Electrode series resistance [Ohm]; informational, not part of the
+        two-branch parallel reduction.
+    c_plate : float
+        Static plate capacitance [F].
     """
-    delta_z = mat.d33 * abs(v)
-    freq_shift_fraction = mat.d33 * v / geo.t_piezo
-    return delta_z, freq_shift_fraction
 
+    c_m: float
+    l_m: float
+    r_m: float
+    r_0: float
+    r_s: float
+    c_plate: float
 
-def mechanical_susceptibility(omega, omega_m: float, gamma: float):
-    """Damped harmonic-oscillator susceptibility (omega_m^2 - omega^2 - i*gamma*omega)^-1.
-
-    Parameters
-    ----------
-    omega : float or ndarray
-        Evaluation angular frequency [rad/s] (finite; zero and negative are allowed).
-    omega_m : float
-        Resonance angular frequency [rad/s] (> 0).
-    gamma : float
-        Damping rate [rad/s] (>= 0; zero only away from resonance).
-
-    Returns
-    -------
-    complex or ndarray
-        Susceptibility [s^2]; magnitude quality/omega_m^2 on resonance.
-    """
-    if not omega_m > 0.0:
-        raise ConfigError("omega_m must be strictly positive")
-    if not gamma >= 0.0:
-        raise ConfigError("gamma must be non-negative")
-    omega = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(omega)):
-        raise ConfigError("omega must be finite")
-    if gamma == 0.0 and np.any(omega == omega_m):
-        raise UnderflowError("susceptibility pole: gamma = 0 at omega = omega_m")
-    return 1.0 / (omega_m**2 - omega**2 - 1j * gamma * omega)
+    def __post_init__(self):
+        check_fields(self, "mbvd", positive=("c_m", "l_m", "c_plate"), non_negative=("r_m", "r_0", "r_s"))
 
 
 def driven_amplitude(mat: MaterialProps, geo: FbarGeometry, drv: DriveParams) -> float:
@@ -174,7 +162,6 @@ def driven_amplitude(mat: MaterialProps, geo: FbarGeometry, drv: DriveParams) ->
     mat, geo : MaterialProps, FbarGeometry
     drv : DriveParams
         Must be resonant: drv.omega_d equal to geo.omega_m (relative 1e-9).
-        Off-resonant response goes through `mechanical_susceptibility`.
 
     Returns
     -------
@@ -182,10 +169,7 @@ def driven_amplitude(mat: MaterialProps, geo: FbarGeometry, drv: DriveParams) ->
         Peak motional amplitude [m].
     """
     if abs(drv.omega_d - geo.omega_m) > 1e-9 * geo.omega_m:
-        raise ConfigError(
-            "driven_amplitude requires a resonant drive (omega_d = omega_m); "
-            "use mechanical_susceptibility for off-resonant response"
-        )
+        raise ConfigError("driven_amplitude requires a resonant drive (omega_d = omega_m)")
     return (geo.quality / geo.omega_m**2) * (mat.youngs_modulus / (mat.density * geo.t_piezo)) * (
         mat.d33 * drv.v_pp / geo.t_piezo
     )
@@ -222,10 +206,3 @@ def delta_capacitance(
     if c0 is None:
         c0 = mat.permittivity * geo.area / geo.t_piezo
     return c0, c0 * delta_x / geo.t_piezo
-
-
-def area_from_capacitance(mat: MaterialProps, t_piezo: float, c0: float) -> float:
-    """Electrode area implied by a measured plate capacitance: t * c0 / permittivity [m^2]."""
-    if not (t_piezo > 0.0 and c0 > 0.0):
-        raise ConfigError("t_piezo and c0 must be strictly positive")
-    return t_piezo * c0 / mat.permittivity

@@ -2,19 +2,19 @@
 
 The modulated capacitance C(t) = c0 + delta_c*cos(omega_m*t), charged by the
 AC drive, acts as a moving mirror for the transmission line. This module
-computes the mirror's time-domain source term F(t) = d/dt[theta(t) C(t) V(t)],
-its spectrum, and the bare inelastic coefficients that feed the cavity
-dressing: the frequency-mixing amplitude s and the drive-sourced amplitude h.
+computes the spectrum of the mirror's source term F(t) = d/dt[theta(t) C(t) V(t)]
+and the bare inelastic coefficients that feed the cavity dressing: the
+frequency-mixing amplitude s and the drive-sourced amplitude h.
 
 Spectral conventions
 --------------------
-The turn-on transform (2*pi)^(-1/2) * Integral_0^T F(t) exp(i*omega*t) dt is
-available in closed form for any finite window T (`windowed_source_transform`).
-Its T -> infinity structure splits into coherent lines at the drive tones plus
-a smooth steady part; `source_spectrum` returns that steady part (independent
-of the window), and `line_weights` the integrated line strengths. Frequencies
-within guard_band = 100/window_time of a tone are line-dominated and rejected
-for continuous-part evaluation.
+The turn-on transform (2*pi)^(-1/2) * Integral_0^T F(t) exp(i*omega*t) dt
+splits, as T -> infinity, into coherent lines at the drive tones plus a smooth
+steady part; `source_spectrum` returns that steady part (independent of the
+window). Frequencies within guard_band = 100/window_time of a tone are
+line-dominated and rejected for continuous-part evaluation. The closed form
+for a finite window and the integrated line strengths, against which the
+tests check the steady part, are in `tests/paper_checks.py`.
 
 Lanes
 -----
@@ -90,11 +90,6 @@ def guard_band(window_time: float) -> float:
     return 100.0 / window_time
 
 
-def capacitance_at(cap: TimeVaryingCap, t):
-    """C(t) = c0 + delta_c * cos(omega_m * t)."""
-    return cap.c0 + cap.delta_c * np.cos(cap.omega_m * np.asarray(t, dtype=float))
-
-
 def effective_length(c0: float, line: LineParams) -> float:
     """Apparent extra line length of the terminating capacitance, c0 / cap_density [m]."""
     return c0 / line.cap_density
@@ -142,49 +137,6 @@ def _turn_on_jump(cfg: SourceConfig) -> float:
     return (cfg.cap.c0 + cfg.cap.delta_c) * cfg.drive.v_pp * math.cos(cfg.drive.phase)
 
 
-def source_time(cfg: SourceConfig, t):
-    """Source term F(t) = d/dt[C(t)V(t)] for t in (0, window_time].
-
-    The delta spike of the turn-on discontinuity at t = 0 is not representable
-    pointwise; at t = 0 the one-sided derivative limit is returned.
-    """
-    tt = np.asarray(t, dtype=float)
-    if not np.all((tt >= 0.0) & (tt <= cfg.window_time)):
-        raise ConfigError("t outside [0, window_time]")
-    total = np.zeros_like(tt)
-    for amp, nu, phi in tones(cfg):
-        total = total - amp * nu * np.sin(nu * tt + phi)
-    return total
-
-
-def _window_kernel(u, window_time: float):
-    """E(u) = Integral_0^T exp(i*u*t) dt = (exp(i*u*T) - 1)/(i*u), with E(0) = T."""
-    u = np.asarray(u, dtype=float)
-    ut = u * window_time
-    small = np.abs(ut) < 1e-8
-    # second-order series around u = 0 avoids catastrophic cancellation
-    series = window_time * (1.0 + 0.5j * ut - ut**2 / 6.0)
-    safe_u = np.where(small, 1.0, u)
-    exact = (np.exp(1j * safe_u * window_time) - 1.0) / (1j * safe_u)
-    return np.where(small, series, exact)
-
-
-def windowed_source_transform(cfg: SourceConfig, omega):
-    """Closed-form turn-on transform (2*pi)^(-1/2) * Integral_0^T F(t) e^(i*omega*t) dt.
-
-    Valid at any omega > 0, including on the coherent drive lines where the
-    value grows linearly with the window length.
-    """
-    w = positive_frequencies(omega)
-    total = np.full_like(w, _turn_on_jump(cfg), dtype=complex)
-    for amp, nu, phi in tones(cfg):
-        total = total + (0.5j * amp * nu) * (
-            np.exp(1j * phi) * _window_kernel(w + nu, cfg.window_time)
-            - np.exp(-1j * phi) * _window_kernel(w - nu, cfg.window_time)
-        )
-    return total / _SQRT_2PI
-
-
 def source_spectrum(cfg: SourceConfig, omega):
     """Steady (window-independent) part of the source transform at omega > 0.
 
@@ -204,18 +156,6 @@ def source_spectrum(cfg: SourceConfig, omega):
             np.exp(1j * phi) / (w + nu) - np.exp(-1j * phi) / (w - nu)
         )
     return total / _SQRT_2PI
-
-
-def line_weights(cfg: SourceConfig) -> dict[float, complex]:
-    """Integrated coherent-line weights {tone frequency: weight}.
-
-    Weight of the delta line at nu_k in the infinite-window transform:
-    -i * (pi/2) * (2*pi)^(-1/2) * A_k * nu_k * exp(-i*phi_k).
-    """
-    return {
-        nu: -0.5j * math.pi * amp * nu * np.exp(-1j * phi) / _SQRT_2PI
-        for amp, nu, phi in tones(cfg)
-    }
 
 
 def h_coefficient(omega, cfg: SourceConfig, line: LineParams):

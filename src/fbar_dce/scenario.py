@@ -20,8 +20,7 @@ from .cavity import CavityParams
 from .constants import EPS0, TWO_PI
 from .errors import MAX_ENTRIES, ConfigError
 from .flux import ThermalEnv
-from .mbvd import MbvdParams
-from .piezo import DriveParams, FbarGeometry, MaterialProps, delta_capacitance, driven_amplitude
+from .piezo import DriveParams, FbarGeometry, MaterialProps, MbvdParams, delta_capacitance, driven_amplitude
 from .scatter import LineParams, SourceConfig, TimeVaryingCap, effective_length
 from .squeeze import LcParams
 

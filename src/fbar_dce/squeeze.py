@@ -58,18 +58,6 @@ class EvolutionResult(NamedTuple):
     odd_population: float
 
 
-def inverse_capacitance_series(p: LcParams, t) -> tuple:
-    """First-order expansion of 1/C_T(t) and the exact value for error reporting.
-
-    series: 1/C_T + (cap_mirror*delta_x/(C_T^2*gap)) * cos(omega_m*t)
-    exact:  1/(cap_cavity + cap_mirror*(1 - (delta_x/gap)*cos(omega_m*t)))
-    """
-    c = np.cos(p.omega_m * np.asarray(t, dtype=float))
-    series = 1.0 / p.cap_total + (p.cap_mirror * p.delta_x / (p.cap_total**2 * p.gap)) * c
-    exact = 1.0 / (p.cap_cavity + p.cap_mirror * (1.0 - (p.delta_x / p.gap) * c))
-    return series, exact
-
-
 def squeeze_coupling(p: LcParams) -> float:
     """Squeezing rate lambda = (omega/8) * (cap_mirror*delta_x/(C_T*gap)) [rad/s].
 

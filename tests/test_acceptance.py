@@ -19,23 +19,21 @@ import time
 
 import numpy as np
 
-from fbar_dce.cavity import (
-    cavity_resonances,
-    inout_transfer,
-    reflection_coefficient,
-    resonance_residual,
-    transfer_determinant,
-)
-from fbar_dce.constants import TWO_PI
-from fbar_dce.flux import (
+from paper_checks import (
+    area_from_capacitance,
+    equivalent_impedance,
     impedance_scaling_check,
-    output_spectrum,
+    inout_transfer,
+    plate_impedance,
     resonant_rate_scaling,
-    thermal_occupation,
+    transfer_determinant,
     vc_ratio,
 )
-from fbar_dce.mbvd import equivalent_impedance, plate_impedance
-from fbar_dce.piezo import area_from_capacitance, driven_amplitude
+
+from fbar_dce.cavity import cavity_resonances, reflection_coefficient, resonance_residual
+from fbar_dce.constants import TWO_PI
+from fbar_dce.flux import output_spectrum, thermal_occupation
+from fbar_dce.piezo import driven_amplitude
 from fbar_dce.scenario import (
     grid_array,
     load_scenario,

@@ -11,12 +11,12 @@ import math
 
 import numpy as np
 import pytest
+from paper_checks import mechanical_susceptibility, source_time, vc_ratio
 
 from fbar_dce.cavity import dressed_coefficients
 from fbar_dce.errors import ConfigError
-from fbar_dce.flux import output_spectrum, vc_ratio
-from fbar_dce.piezo import delta_capacitance, mechanical_susceptibility
-from fbar_dce.scatter import source_time
+from fbar_dce.flux import output_spectrum
+from fbar_dce.piezo import delta_capacitance
 from fbar_dce.scenario import load_scenario, source_config, squeeze_params
 from fbar_dce.squeeze import analytic_photon_number, evolve_series
 

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from paper_checks import inout_transfer, transfer_determinant
 
 from fbar_dce import cavity
 from fbar_dce.constants import TWO_PI
@@ -19,11 +20,9 @@ from fbar_dce.cavity import (
     CavityParams,
     cavity_resonances,
     dressed_coefficients,
-    inout_transfer,
     mode_response,
     reflection_coefficient,
     resonance_residual,
-    transfer_determinant,
 )
 from fbar_dce.piezo import DriveParams
 from fbar_dce.scatter import (
@@ -253,6 +252,26 @@ def test_dressed_coefficients_sideband_magnitudes_at_symmetry_point():
     assert abs(out.s2_res) == pytest.approx(abs(s1_style), rel=1e-12)
 
 
+def test_dressed_coefficients_lower_sideband_phase():
+    # at omega = omega_m / 2 the lower sideband pairs the self-frequency
+    # response with its own conjugate, so S2 is the bare amplitude times the
+    # positive real |A|^2: the conjugate carries the phase, not the magnitude
+    half = 0.5 * OMEGA_M
+    out = dressed_coefficients(half, CAV, CFG, LINE)
+    ratio = out.s2_res / s_coefficient(DELTA_C, LINE.z0, half, OMEGA_M - half)
+    assert ratio.real > 0.0
+    assert abs(ratio.imag) <= 1e-12 * ratio.real
+
+
+def test_dressed_coefficients_upper_sideband_compositional_oracle():
+    # |S1| from independently evaluated factors: the upper sideband sits at omega_m + omega
+    for w in np.array([0.1, 0.3, 0.5, 0.8]) * OMEGA_M:
+        out = dressed_coefficients(w, CAV, CFG, LINE)
+        bare = s_coefficient(DELTA_C, LINE.z0, w, OMEGA_M + w)
+        expected = abs(bare) * abs(mode_response(w, CAV)) * abs(mode_response(OMEGA_M + w, CAV))
+        assert abs(out.s1_res) == pytest.approx(expected, rel=1e-12)
+
+
 def test_dressed_coefficients_h_term():
     half = 0.5 * OMEGA_M
     out = dressed_coefficients(half, CAV, CFG, LINE)
@@ -303,6 +322,19 @@ def test_dressed_coefficients_unimodularity_enforced():
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(UnderflowError) as info:
         dressed_coefficients(0.5 * OMEGA_M, broken, CFG, LINE)
     assert str(info.value) == "lossless-reflection invariant violated: max ||R| - 1| = nan"
+
+
+@pytest.mark.parametrize("defect, refused", [(1e-11, False), (1e-9, True)])
+def test_dressed_coefficients_reflection_bound(monkeypatch, defect, refused):
+    # the production check refuses ||R| - 1| above 1e-10, not only a NaN reflection
+    exact = cavity._reflection
+    monkeypatch.setattr(cavity, "_reflection", lambda w, den, cav: (1.0 + defect) * exact(w, den, cav))
+    grid = np.linspace(0.1, 0.9, 5) * OMEGA_M
+    if refused:
+        with pytest.raises(UnderflowError, match="lossless-reflection invariant violated"):
+            dressed_coefficients(grid, CAV, CFG, LINE)
+    else:
+        dressed_coefficients(grid, CAV, CFG, LINE)
 
 
 def test_cavity_params_validation():

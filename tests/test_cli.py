@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, CSV schema, determinism, physics columns."""
 
+import ast
 import functools
 import json
 import math
@@ -601,6 +602,63 @@ def _run_fresh(args):
 )
 def test_no_command_loads_scipy(tmp_path, args):
     assert _run_fresh(args + ["--out", str(tmp_path / "x.csv")]) == (0, False)
+
+
+# functions in src/ that no command runs, with the reason each stays there
+_UNREACHED_IN_SRC = {
+    # perfbench's tracer wraps it by name (test_perfbench_contract::test_every_traced_name_resolves)
+    "cavity.reflection_coefficient",
+}
+
+
+def _entered_code(argvs, out_dir):
+    """(file, first line) of every Python code object entered while cli.main runs each argv."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    previous = sys.getprofile()
+    for i, argv in enumerate(argvs):
+        sys.setprofile(profile)
+        try:
+            rc = cli.main(argv + ["--out", str(out_dir / f"{i}.csv")])
+        finally:
+            sys.setprofile(previous)
+        assert rc == 0, argv
+    return {(os.path.realpath(path), line) for path, line in entered}
+
+
+def test_every_src_function_runs_in_some_command(tmp_path):
+    # src/ holds what a command runs; the paper checks that only tests call live in tests/paper_checks.py
+    entered = _entered_code(
+        [
+            ["spectrum", "--points", "64"],
+            ["decompose", "--points", "64"],
+            ["resonances"],
+            ["sweep", "--axis", "z0", "--values", "55,10000,1e200"],
+            ["squeeze", "--dim", "16", "--samples", "3"],
+        ],
+        tmp_path,
+    )
+    unreached, reached = [], set()
+    for path in sorted(Path(fbar_dce.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Lambda):
+                name, line = "<lambda>", node.lineno
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # a decorated function's code starts at its first decorator
+                name, line = node.name, min([node.lineno] + [d.lineno for d in node.decorator_list])
+            else:
+                continue
+            qualified = f"{path.stem}.{name}"
+            if (os.path.realpath(path), line) in entered:
+                reached.add(qualified)
+            elif qualified not in _UNREACHED_IN_SRC:
+                unreached.append(f"{qualified} (line {line})")
+    assert unreached == []
+    assert not reached & _UNREACHED_IN_SRC  # an allowed entry that a command now runs is stale
 
 
 def test_squeeze_command_matches_closed_form(tmp_path):

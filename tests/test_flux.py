@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from paper_checks import impedance_scaling_check, resonant_rate_scaling, vc_ratio
 
 from fbar_dce.cavity import CavityParams, dressed_coefficients
 from fbar_dce.constants import HBAR, K_B, TWO_PI
@@ -20,11 +21,8 @@ from fbar_dce.errors import ConfigError, NumericalError, ValidityError
 from fbar_dce.flux import (
     ThermalEnv,
     _resolve_guard_collisions,
-    impedance_scaling_check,
     output_spectrum,
-    resonant_rate_scaling,
     thermal_occupation,
-    vc_ratio,
 )
 from fbar_dce.piezo import DriveParams, FbarGeometry, delta_capacitance
 from fbar_dce.scatter import LineParams, SourceConfig, TimeVaryingCap, guard_band, source_spectrum
@@ -176,6 +174,34 @@ def test_frozen_occupations_at_half_modulation_frequency():
         + abs(coeffs.s2_res) ** 2 * n_in_half
     )
     assert table.n_thermal[0] == pytest.approx(expected_thermal, rel=1e-12)
+
+
+def test_thermal_terms_recompose_from_dressed_coefficients():
+    # |S1|^2 takes the bath at omega_m + omega and |S2|^2 the bath at omega_m - omega; on a
+    # grid through the cavity resonances in a 0.2 K bath, swapping them moves n_thermal by ~1e-8
+    hot = ThermalEnv(0.2)
+    grid = np.linspace(0.05, 0.95, 181) * OMEGA_M
+    table = output_spectrum(grid, CAV, CFG, LINE, hot)
+    coeffs = dressed_coefficients(grid, CAV, CFG, LINE)
+    expected = (
+        np.abs(coeffs.r_res) ** 2 * thermal_occupation(grid, hot)
+        + np.abs(coeffs.s1_res) ** 2 * thermal_occupation(OMEGA_M + grid, hot)
+        + np.abs(coeffs.s2_res) ** 2 * thermal_occupation(OMEGA_M - grid, hot)
+    )
+    np.testing.assert_allclose(table.n_thermal, expected, rtol=1e-14, atol=0.0)
+
+
+def test_round_off_below_zero_in_mech_only_is_clipped(monkeypatch):
+    # |h_static| one ulp above |h| with S2 = 0 makes |S2|^2 + |h|^2 - |h_static|^2 = -2**-51,
+    # inside the round-off floor; the column is clipped to +0.0
+    def one_ulp_below_zero(w, cav, cfg, line):
+        zero, one = np.zeros_like(w, dtype=complex), np.ones_like(w, dtype=complex)
+        return zero, zero, zero, one, one * np.nextafter(1.0, 2.0)
+
+    monkeypatch.setattr("fbar_dce.flux.dressed_coefficients", one_ulp_below_zero)
+    table = output_spectrum(np.linspace(0.1, 0.9, 5) * OMEGA_M, CAV, CFG, LINE, ENV)
+    assert np.all(table.n_mech_only == 0.0)
+    assert not np.any(np.signbit(table.n_mech_only))
 
 
 def test_mech_only_never_exceeds_dce():

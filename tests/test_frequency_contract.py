@@ -9,12 +9,19 @@ import math
 
 import numpy as np
 import pytest
+from paper_checks import (
+    composite_quality,
+    equivalent_impedance,
+    inout_transfer,
+    motional_impedance,
+    plate_impedance,
+    windowed_source_transform,
+)
 
-from fbar_dce.cavity import inout_transfer, mode_response, reflection_coefficient
+from fbar_dce.cavity import mode_response, reflection_coefficient
 from fbar_dce.errors import ConfigError
 from fbar_dce.flux import thermal_occupation
-from fbar_dce.mbvd import composite_quality, equivalent_impedance, motional_impedance, plate_impedance
-from fbar_dce.scatter import h_coefficient, source_spectrum, windowed_source_transform
+from fbar_dce.scatter import h_coefficient, source_spectrum
 from fbar_dce.scenario import load_scenario, source_config
 
 SC = load_scenario("low-q")

@@ -4,16 +4,16 @@ import math
 
 import numpy as np
 import pytest
-
-from fbar_dce.errors import ConfigError, UnderflowError
-from fbar_dce.mbvd import (
-    MbvdParams,
+from paper_checks import (
     composite_quality,
     equivalent_impedance,
     motional_impedance,
     plate_impedance,
     resonances_and_coupling,
 )
+
+from fbar_dce.errors import ConfigError, UnderflowError
+from fbar_dce.piezo import MbvdParams
 
 PARAMS = MbvdParams(c_m=0.655e-15, l_m=1.043e-6, r_m=146.0, r_0=8.0, r_s=0.0, c_plate=0.4e-12)
 OMEGA_21 = 2.0 * math.pi * 2.1e9

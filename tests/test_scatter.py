@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from paper_checks import capacitance_at, line_weights, source_time, windowed_source_transform
 
 from fbar_dce.constants import HBAR, TWO_PI
 from fbar_dce.errors import ConfigError, GuardBandError
@@ -19,15 +20,11 @@ from fbar_dce.scatter import (
     LineParams,
     SourceConfig,
     TimeVaryingCap,
-    capacitance_at,
     effective_length,
     guard_band,
     h_coefficient,
-    line_weights,
     s_coefficient,
     source_spectrum,
-    source_time,
-    windowed_source_transform,
 )
 
 OMEGA_M = 2.0 * math.pi * 4.2e9

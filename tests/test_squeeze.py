@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from paper_checks import inverse_capacitance_series
 from scipy.linalg import eigh
 
 from fbar_dce.constants import TWO_PI
@@ -24,7 +25,6 @@ from fbar_dce.squeeze import (
     _step_count,
     analytic_photon_number,
     evolve_series,
-    inverse_capacitance_series,
     pair_creation_matrix,
     squeeze_coupling,
 )

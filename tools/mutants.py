@@ -1,0 +1,183 @@
+"""Mutation gauge: show that the tests catch the faults they are meant to catch.
+
+Each mutant replaces one exact snippet of one module of `src/fbar_dce` with
+another, and names the tests that must fail with it. For each mutant the
+script copies `src/` to a temporary directory, applies the edit there and runs
+only the named tests, with PYTHONPATH set to the copy. The mutant is killed
+when a named test fails, and survives when they all pass.
+
+    python tools/mutants.py
+
+Before any mutant runs, the named tests must pass on an unmutated copy, and
+the copy must be the package they import. Exit status: 0 when every mutant is
+killed, 1 when one survives, 2 when a run cannot be judged. Each mutant costs
+a pytest start, so the tier-1 suite runs none of them; `tests/test_mutants.py`
+only checks that every snippet still occurs exactly once and that every named
+test still exists, so the list cannot go stale unnoticed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
+class Mutant(NamedTuple):
+    file: str  # module file under src/fbar_dce
+    old: str  # exact snippet, present exactly once in src/
+    new: str
+    tests: tuple[str, ...]  # pytest ids, relative to the repository root
+
+
+_GUARD_LOOP = "tests/test_flux.py::test_guard_resolution_matches_scalar_loop"
+
+MUTANTS = {
+    # guard-band resolution: a point shifted by one tone and blocked by a later one keeps its shift
+    "guard-blocked-points-reset": Mutant(
+        "flux.py",
+        "        out[idx[~blocked]] = shifted[~blocked]\n",
+        "        out[idx[~blocked]] = shifted[~blocked]\n        out[idx[blocked]] = w[blocked]\n",
+        (_GUARD_LOOP,),
+    ),
+    # each tone shifts from the original grid point, not from an earlier tone's shift
+    "guard-shift-from-shifted-grid": Mutant(
+        "flux.py",
+        "        w = grid[idx]\n",
+        "        w = out[idx]\n",
+        (_GUARD_LOOP,),
+    ),
+    # a later tone overrides an earlier one
+    "guard-first-tone-wins": Mutant(
+        "flux.py",
+        "idx = np.flatnonzero(np.abs(grid - nu) < guard)",
+        'idx = np.flatnonzero((np.abs(grid - nu) < guard) & (flags == ""))',
+        (_GUARD_LOOP,),
+    ),
+    # squeeze: the even rows keep every column, so BLAS sums each row as on the full basis
+    "squeeze-even-column-cut": Mutant(
+        "squeeze.py",
+        "        return m @ x\n",
+        "        return m[:, 0::2] @ v\n",
+        ("tests/test_squeeze.py::test_even_level_evolution_matches_full_basis_bits_at_range_end",),
+    ),
+    # squeeze: the full-length state is observed, since np.sum's grouping depends on the length
+    "squeeze-half-length-observation": Mutant(
+        "squeeze.py",
+        "        results.append(_observe(x))\n",
+        "        mean = float(np.sum(np.arange(0, dim, 2) * np.abs(u) ** 2))\n"
+        "        results.append(_observe(x)._replace(mean_photons=mean))\n",
+        ("tests/test_squeeze.py::test_even_level_evolution_matches_full_basis_bits",),
+    ),
+    # the lower sideband takes the conjugated self-frequency response
+    "dressing-drop-conj-in-s2": Mutant(
+        "cavity.py",
+        "* np.conj(a_self) * mode_response(om - w, cav)",
+        "* a_self * mode_response(om - w, cav)",
+        ("tests/test_cavity.py::test_dressed_coefficients_lower_sideband_phase",),
+    ),
+    # upper sideband at omega_m + omega, lower at omega_m - omega
+    "dressing-swap-sidebands": Mutant(
+        "cavity.py",
+        "* a_self * mode_response(om + w, cav)",
+        "* a_self * mode_response(om - w, cav)",
+        ("tests/test_cavity.py::test_dressed_coefficients_upper_sideband_compositional_oracle",),
+    ),
+    # the bath at omega_m + omega feeds |S1|^2, the bath at omega_m - omega feeds |S2|^2
+    "thermal-swap-sidebands": Mutant(
+        "flux.py",
+        "            n_in_up = thermal_occupation(om + w, env)\n            n_in_down = thermal_occupation(om - w, env)\n",
+        "            n_in_up = thermal_occupation(om - w, env)\n            n_in_down = thermal_occupation(om + w, env)\n",
+        ("tests/test_flux.py::test_thermal_terms_recompose_from_dressed_coefficients",),
+    ),
+    # round-off below zero in n_mech_only is clipped to +0.0
+    "drop-mech-only-clip": Mutant(
+        "flux.py",
+        "    n_mech_only = np.maximum(n_mech_only, 0.0)\n",
+        "",
+        ("tests/test_flux.py::test_round_off_below_zero_in_mech_only_is_clipped",),
+    ),
+    # a negative difference tone folds onto +nu with its phase negated (cos is even)
+    "fold-tones-keeping-phase": Mutant(
+        "scatter.py",
+        "            nu, phi = -nu, -phi\n",
+        "            nu, phi = -nu, phi\n",
+        ("tests/test_scatter.py::test_source_time_step_differentiation_generic_point_and_detuned_drive",),
+    ),
+    # ||R| - 1| above 1e-10 is refused
+    "loosen-reflection-bound": Mutant(
+        "cavity.py",
+        "if not np.all(defect <= 1e-10):",
+        "if not np.all(defect <= 1e-6):",
+        ("tests/test_cavity.py::test_dressed_coefficients_reflection_bound",),
+    ),
+}
+
+
+def _env(src: Path) -> dict:
+    # no bytecode: a mutated module must never be served from a cached .pyc
+    return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+
+
+def _copy_src(tmp: Path) -> Path:
+    copy = tmp / "src"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return copy
+
+
+def _pytest(src: Path, tests) -> subprocess.CompletedProcess:
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=ROOT, env=_env(src), capture_output=True, text=True)
+
+
+def _check_setup() -> None:
+    """SystemExit(2) unless the tests import the copy and pass on it unmutated."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = _copy_src(Path(tmp))
+        probe = [sys.executable, "-c", "import fbar_dce; print(fbar_dce.__file__)"]
+        imported = subprocess.run(probe, cwd=ROOT, env=_env(copy), capture_output=True, text=True, check=True)
+        if Path(tmp).resolve() not in Path(imported.stdout.strip()).resolve().parents:
+            sys.exit(f"the tests would import {imported.stdout.strip()}, not the copy")
+        tests = sorted({t for mutant in MUTANTS.values() for t in mutant.tests})
+        clean = _pytest(copy, tests)
+        if clean.returncode != 0:
+            sys.exit(f"the named tests fail without a mutant:\n{clean.stdout[-3000:]}")
+
+
+def run_mutant(name: str) -> str:
+    """'killed', 'survived' or 'error' for one mutant."""
+    mutant = MUTANTS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = _copy_src(Path(tmp))
+        target = copy / "fbar_dce" / mutant.file
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return "error"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        result = _pytest(copy, mutant.tests)
+    # pytest exits 1 when a test failed; any other non-zero code means the run itself broke
+    return {0: "survived", 1: "killed"}.get(result.returncode, "error")
+
+
+def main() -> int:
+    _check_setup()
+    verdicts = {}
+    for name in MUTANTS:
+        verdicts[name] = run_mutant(name)
+        print(f"{verdicts[name]:9} {name}", flush=True)
+    survived = [n for n, v in verdicts.items() if v == "survived"]
+    errors = [n for n, v in verdicts.items() if v == "error"]
+    print(f"{len(MUTANTS)} mutants: {len(MUTANTS) - len(survived) - len(errors)} killed, "
+          f"{len(survived)} survived, {len(errors)} errors")
+    return 2 if errors else 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
