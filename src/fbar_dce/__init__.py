@@ -13,4 +13,11 @@ scenario  parameter presets, JSON scenario loading and validation
 cli       command-line front end producing deterministic CSV tables
 """
 
+import os
+
+# One OpenBLAS thread, set before anything imports numpy; a value the user set
+# is kept. The only BLAS call, the squeeze matvec (120 x 240 at --dim 240),
+# saves little wall time on a second thread, which spins and doubles the CPU.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"

@@ -604,6 +604,50 @@ def test_no_command_loads_scipy(tmp_path, args):
     assert _run_fresh(args + ["--out", str(tmp_path / "x.csv")]) == (0, False)
 
 
+def _fresh_blas_threads(env, args):
+    # a fresh interpreter runs one command: (exit code, OS threads at its end, OPENBLAS_NUM_THREADS it saw)
+    code = (
+        "import os, sys\nfrom fbar_dce import cli\nrc = cli.main(sys.argv[1:])\n"
+        "print(rc, len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True)
+    rc, threads, setting = proc.stdout.split()
+    return int(rc), int(threads), setting
+
+
+_SQUEEZE_DEEP = ["squeeze", "--dim", "240", "--t-max", "2"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+def test_command_runs_one_blas_thread_by_default(tmp_path):
+    # the squeeze matvec is the one BLAS call; it is split across threads at dim 240 unless told not to be
+    env = _package_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    assert _fresh_blas_threads(env, _SQUEEZE_DEEP + ["--out", str(tmp_path / "x.csv")]) == (0, 1, "1")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+def test_user_blas_thread_setting_is_kept(tmp_path):
+    env = dict(_package_env(), OPENBLAS_NUM_THREADS="2")
+    rc, _, setting = _fresh_blas_threads(env, _SQUEEZE_DEEP + ["--out", str(tmp_path / "x.csv")])
+    assert (rc, setting) == (0, "2")
+
+
+@pytest.mark.parametrize("dim", [60, 61, 240, 241])
+def test_blas_thread_count_keeps_squeeze_bytes(tmp_path, dim):
+    # one thread is the default only because the thread count moves no bit of the table
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "fbar_dce.cli", "squeeze", "--dim", str(dim), "--t-max", "2", "--out", str(out)],
+            env=dict(_package_env(), OPENBLAS_NUM_THREADS=threads),
+            check=True,
+        )
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+
+
 # functions in src/ that no command runs, with the reason each stays there
 _UNREACHED_IN_SRC = {
     # perfbench's tracer wraps it by name (test_perfbench_contract::test_every_traced_name_resolves)

@@ -64,9 +64,16 @@ MUTANTS = {
     # squeeze: the even rows keep every column, so BLAS sums each row as on the full basis
     "squeeze-even-column-cut": Mutant(
         "squeeze.py",
-        "        return m @ x\n",
-        "        return m[:, 0::2] @ v\n",
+        "        np.dot(m, x, out=k)\n",
+        "        np.dot(m[:, 0::2], xe, out=k)\n",
         ("tests/test_squeeze.py::test_even_level_evolution_matches_full_basis_bits_at_range_end",),
+    ),
+    # squeeze: the buffered rk4 doubles k2 in place only after stage 3 has read it
+    "squeeze-rk4-k2-doubled-early": Mutant(
+        "squeeze.py",
+        "        stage(half, k2, k3)\n        stage(whole, k3, k4)\n        np.multiply(two, k2, out=k2)\n",
+        "        np.multiply(two, k2, out=k2)\n        stage(half, k2, k3)\n        stage(whole, k3, k4)\n",
+        ("tests/test_squeeze.py::test_even_level_evolution_matches_full_basis_bits",),
     ),
     # squeeze: the full-length state is observed, since np.sum's grouping depends on the length
     "squeeze-half-length-observation": Mutant(
