@@ -39,35 +39,78 @@ _SWEEP_AXES = ("v_pp", "q", "z0", "delta_x")
 
 
 _BLOCK_ROWS = 8192
+_COPY_CHARS = 1 << 16  # the forked child's text is appended in chunks of this size, so memory stays bounded
 # by dtype kind: text as is, bools 1/0, ints as digits, anything else as a float with 17 significant digits
 _CELL_FORMAT = {"U": "%s", "b": "%d", "i": "%d", "u": "%d"}
 
 
-def _table_text(header_lines: list[str], columns: list[str], cells):
-    """Yield the header, then the rows a block of _BLOCK_ROWS at a time, so memory stays bounded."""
-    yield "".join(f"# {line}\n" for line in header_lines) + ",".join(columns) + "\n"
-    for start in range(0, len(cells[0]) if cells else 0, _BLOCK_ROWS):
-        # columns are converted a block at a time: a tuple column (the flags) never becomes one whole array
-        block = [np.asarray(column[start : start + _BLOCK_ROWS]) for column in cells]
-        row = ",".join(_CELL_FORMAT.get(column.dtype.kind, "%.17g") for column in block) + "\n"
-        yield "".join(map(row.__mod__, zip(*(column.tolist() for column in block))))
+def _block_text(cells, start: int) -> str:
+    """The rows from start to start + _BLOCK_ROWS."""
+    # columns are converted a block at a time: a tuple column (the flags) never becomes one whole array
+    block = [np.asarray(column[start : start + _BLOCK_ROWS]) for column in cells]
+    row = ",".join(_CELL_FORMAT.get(column.dtype.kind, "%.17g") for column in block) + "\n"
+    return "".join(map(row.__mod__, zip(*(column.tolist() for column in block))))
+
+
+def _write_text(fh, header: str, cells) -> int:
+    """Write the header and the rows a block at a time; return the forked formatter's exit code (0 if none).
+
+    A table of two or more blocks is formatted on two processes: a forked
+    child formats the second half of the blocks into an anonymous temporary
+    file while this process writes the first half, then appends the child's
+    text in _COPY_CHARS chunks. Where os.fork is missing the blocks run here.
+    """
+    fh.write(header)
+    starts = range(0, len(cells[0]) if cells else 0, _BLOCK_ROWS)
+    mid = len(starts) // 2
+    if mid == 0 or not hasattr(os, "fork"):
+        fh.writelines(_block_text(cells, start) for start in starts)
+        return 0
+    import signal
+    import tempfile
+
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        fh.flush()
+        pid = os.fork()
+        if pid == 0:  # the child leaves through os._exit, which flushes none of the inherited stdio buffers
+            code = 1
+            try:
+                spool.writelines(_block_text(cells, start) for start in starts[mid:])
+                spool.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        try:
+            fh.writelines(_block_text(cells, start) for start in starts[:mid])
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code == 0:
+            spool.seek(0)
+            while chunk := spool.read(_COPY_CHARS):
+                fh.write(chunk)
+    return code
 
 
 def _write_table(out_path: str, header_lines: list[str], columns: list[str], cells) -> None:
     """Write a CSV table given one sequence of cells per column (none for an empty table)."""
-    text = _table_text(header_lines, columns, cells)
+    header = "".join(f"# {line}\n" for line in header_lines) + ",".join(columns) + "\n"
     try:
         if out_path == "-":
-            sys.stdout.writelines(text)
+            code = _write_text(sys.stdout, header, cells)
             sys.stdout.flush()
         else:
             with open(out_path, "w", newline="") as fh:
-                fh.writelines(text)
+                code = _write_text(fh, header, cells)
     except OSError as exc:
         if out_path == "-":  # a closed pipe: the flush at exit must not fail again
             with open(os.devnull, "w") as null:
                 os.dup2(null.fileno(), sys.stdout.fileno())
         raise ConfigError(f"cannot write {out_path}: {exc}") from exc
+    if code != 0:
+        raise ConfigError(f"cannot write {out_path}: the forked row formatter exited with code {code}")
 
 
 def _header(sc: Scenario, command: str) -> list[str]:

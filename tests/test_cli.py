@@ -533,6 +533,127 @@ def test_stdout_bytes_equal_file_bytes(tmp_path, capsys, monkeypatch, args):
     assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    # the pid of each child this test forks
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    # waitpid raises once a child has been reaped: no zombie and no running child is left
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _mixed_cells(rows):
+    # a float, a bool, an int and a text column, the flags passed as a tuple of str
+    rng = np.random.default_rng(rows)
+    floats = rng.standard_normal(rows)
+    floats[::5] = np.nan
+    flags = tuple(np.where(rng.random(rows) < 0.3, "guard-band", "").tolist())
+    return [floats, floats > 0, np.arange(rows) * 7 - 3, flags]
+
+
+@pytest.mark.parametrize(
+    "rows,forked", [(0, 0), (4, 0), (8, 1), (9, 1), (20, 1)], ids=["0", "1-block", "2-blocks", "3-blocks", "5-blocks"]
+)
+@pytest.mark.parametrize("target", ["file", "stdout"])
+def test_fork_path_keeps_cell_by_cell_bytes(tmp_path, capsys, monkeypatch, forks, rows, forked, target):
+    # 4-row blocks: a table of two or more blocks is split between this process and one forked child
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
+    cells = _mixed_cells(rows)
+    columns = ["x", "positive", "index", "flags"]
+    expected = "# fork path\n" + ",".join(columns) + "\n"
+    expected += "".join(",".join(_cell(column[i]) for column in cells) + "\n" for i in range(rows))
+    out = tmp_path / "table.csv"
+    capsys.readouterr()
+    cli._write_table("-" if target == "stdout" else str(out), ["fork path"], columns, cells)
+    text = capsys.readouterr().out if target == "stdout" else out.read_bytes().decode()
+    assert text == expected
+    assert len(forks) == forked
+    _assert_reaped(forks)
+
+
+def _refuse_fork():
+    raise AssertionError("a table below two blocks forked")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum"],
+        ["decompose"],
+        ["resonances"],
+        ["sweep", "--axis", "z0", "--values", ",".join(str(55 + i) for i in range(300))],
+        ["squeeze"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_tables_below_two_blocks_never_fork(tmp_path, monkeypatch, args):
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    assert cli.main(args + ["--out", str(tmp_path / "table.csv")]) == 0
+
+
+@pytest.mark.parametrize("target", ["file", "stdout"])
+def test_failing_child_formatter_exit_code_2(tmp_path, capsys, monkeypatch, forks, target):
+    # the child's blocks raise; the parent's are written: one error line, exit 2, and no child left
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 8)
+    parent, block_text = os.getpid(), cli._block_text
+
+    def child_fails(cells, start):
+        if os.getpid() != parent:
+            raise RuntimeError("formatter failed")
+        return block_text(cells, start)
+
+    monkeypatch.setattr(cli, "_block_text", child_fails)
+    out = "-" if target == "stdout" else str(tmp_path / "table.csv")
+    assert cli.main(["spectrum", "--points", "64", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot write {out}: the forked row formatter exited with code 1")
+    assert err.count("\n") == 1
+    assert len(forks) == 1
+    _assert_reaped(forks)
+
+
+def test_closed_stdout_during_fork_path_leaves_no_child(tmp_path):
+    # the reader closes the pipe while the parent writes its half of 20 000 rows (3 blocks): the
+    # parent kills and reaps the child, and the command exits 2 with one error line
+    code = (
+        "import os, sys\nfrom fbar_dce import cli\nrc = cli.main(sys.argv[2:])\n"
+        "try:\n    os.waitpid(-1, os.WNOHANG)\n    left = 'child-left'\n"
+        "except ChildProcessError:\n    left = 'none'\n"
+        "with open(sys.argv[1], 'w') as fh:\n    fh.write(f'{rc} {left}')\n"
+    )
+    result = tmp_path / "result.txt"
+    r, w = os.pipe()
+    reader = open(r, "rb")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, str(result), "spectrum", "--points", "20000"],
+        stdout=w,
+        stderr=subprocess.PIPE,
+        env=_package_env(),
+    )
+    os.close(w)
+    assert len(reader.read(100)) == 100
+    reader.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0
+    assert result.read_text() == "2 none"
+    assert err.startswith("configuration error: cannot write -: ")
+    assert err.count("\n") == 1
+
+
 def _writer_peak_bytes(path, rows):
     # six float columns and a flags column passed as a tuple of str, as output_spectrum returns it
     rng = np.random.default_rng(0)
@@ -546,13 +667,26 @@ def _writer_peak_bytes(path, rows):
         tracemalloc.stop()
 
 
-def test_writer_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
+def _check_writer_memory(tmp_path, monkeypatch):
     assert cli._BLOCK_ROWS <= 8192  # the production block stays bounded; the check below runs at 1024 rows
     # 4 and 32 blocks: a writer that held the whole table would grow ~8x
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 1024)
     small = _writer_peak_bytes(tmp_path / "small.csv", 4_096)
     large = _writer_peak_bytes(tmp_path / "large.csv", 32_768)
     assert large < 1.5 * small, (small, large)
+
+
+def test_writer_memory_does_not_grow_with_rows(tmp_path, monkeypatch, forks):
+    # tracemalloc sees this process: the first half of the blocks and the copy of the child's half
+    _check_writer_memory(tmp_path, monkeypatch)
+    assert len(forks) == 2
+    _assert_reaped(forks)
+
+
+def test_writer_memory_does_not_grow_with_rows_serial(tmp_path, monkeypatch):
+    # without os.fork every block runs here, through the formatter the child uses
+    monkeypatch.delattr(os, "fork")
+    _check_writer_memory(tmp_path, monkeypatch)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)

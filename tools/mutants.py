@@ -83,6 +83,23 @@ MUTANTS = {
         "        results.append(_observe(x)._replace(mean_photons=mean))\n",
         ("tests/test_squeeze.py::test_even_level_evolution_matches_full_basis_bits",),
     ),
+    # the forked child formats the blocks from mid on, so none is dropped or repeated between the halves
+    "fork-child-skips-first-block": Mutant(
+        "cli.py",
+        "for start in starts[mid:]",
+        "for start in starts[mid + 1 :]",
+        (
+            "tests/test_cli.py::test_fork_path_keeps_cell_by_cell_bytes",
+            "tests/test_cli.py::test_block_boundaries_keep_cell_by_cell_bytes",
+        ),
+    ),
+    # the parent reaps the child on every path, also when writing its own half fails
+    "fork-parent-failure-skips-reap": Mutant(
+        "cli.py",
+        "            raise\n        finally:\n            code = os.waitstatus_to_exitcode(",
+        "            raise\n        code = os.waitstatus_to_exitcode(",
+        ("tests/test_cli.py::test_closed_stdout_during_fork_path_leaves_no_child",),
+    ),
     # the lower sideband takes the conjugated self-frequency response
     "dressing-drop-conj-in-s2": Mutant(
         "cavity.py",
