@@ -8,8 +8,11 @@ return the same floats bit for bit:
 - `minimize_bounded` ports `scipy.optimize._optimize._minimize_scalar_bounded`
   (`minimize_scalar(method="bounded")`).
 
-SciPy's `args`, `disp`, callbacks, option parsing and `brentq`'s NaN check
-are left out: the functions passed to `find_root` return finite floats.
+SciPy's `args`, `disp`, callbacks and option parsing are left out, and so are
+`brentq`'s checks of f(a) and f(b): its NaN check, its exact-zero-endpoint
+returns and its unbracketed-interval error. The one caller,
+`cavity.cavity_resonances`, passes a function that returns finite floats and
+has already checked f(a) < 0 < f(b).
 SciPy is distributed under the BSD 3-clause licence. `tests/test_brent.py`
 compares both ports with SciPy on random brackets and windows and is what
 keeps them exact.
@@ -28,18 +31,12 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 def find_root(f, a: float, b: float, xtol: float, maxiter: int) -> float:
-    """Root of f in [a, b], where f(a) and f(b) differ in sign, to xtol + 4*eps*|x|.
+    """Root of f in [a, b], where f(a) and f(b) are non-zero and differ in sign, to xtol + 4*eps*|x|.
 
     Raises ConvergenceError when maxiter iterations do not converge.
     """
     xpre, xcur = a, b
     fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must differ in sign")
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
         if (fpre < 0.0) != (fcur < 0.0):  # the root is bracketed by xpre and xcur

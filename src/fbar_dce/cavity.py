@@ -24,7 +24,6 @@ from .scatter import LineParams, SourceConfig, TimeVaryingCap, h_coefficient, s_
 
 _MAX_REFINE_ITERATIONS = 200
 _RESIDUAL_RTOL = 1e-9  # on |tan(k*d_eff) - omega_c/omega| relative to omega_c/omega
-_POLE_NUDGE = 1e-12  # fraction of omega_0 used to step off a tangent pole
 
 
 @dataclass(frozen=True)
@@ -60,9 +59,8 @@ class DressedCoefficients(NamedTuple):
 
 
 def _denominator(omega, cav: CavityParams):
-    """Shared cavity denominator (1 - 2i*omega/omega_c) + exp(2i*k*d_eff)."""
-    w = np.asarray(omega, dtype=float)
-    den = (1.0 - 2j * w / cav.omega_coupling) + np.exp(2j * w * cav.d_eff / cav.v_light)
+    """Shared cavity denominator (1 - 2i*omega/omega_c) + exp(2i*k*d_eff) over a checked float array."""
+    den = (1.0 - 2j * omega / cav.omega_coupling) + np.exp(2j * omega * cav.d_eff / cav.v_light)
     if np.any(np.abs(den) < 1e-14):
         raise UnderflowError("cavity denominator below 1e-14")
     return den
@@ -100,13 +98,12 @@ def mode_response(omega, cav: CavityParams):
 
 
 def _resonance_mismatch(omega: float, cav: CavityParams) -> float:
-    """tan(2*pi*omega/omega_0) - omega_c/omega, nudged off exact tangent poles."""
-    x = TWO_PI * omega / cav.omega_0
-    # distance from the nearest tangent pole at (n + 1/2)*pi
-    if abs(math.remainder(x - math.pi / 2.0, math.pi)) < 1e-15 * max(1.0, abs(x)):
-        omega = omega + _POLE_NUDGE * cav.omega_0
-        x = TWO_PI * omega / cav.omega_0
-    return math.tan(x) - cav.omega_coupling / omega
+    """tan(2*pi*omega/omega_0) - omega_c/omega.
+
+    Nothing steps off the tangent poles: math.tan is finite on every float, and
+    the 1e-9*omega_0 branch padding of cavity_resonances keeps its evaluations away.
+    """
+    return math.tan(TWO_PI * omega / cav.omega_0) - cav.omega_coupling / omega
 
 
 def cavity_resonances(cav: CavityParams, band: tuple[float, float]) -> list[float]:

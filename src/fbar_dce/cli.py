@@ -14,7 +14,6 @@ significant digits so identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import copy
 import os
 import sys
 from dataclasses import replace
@@ -29,7 +28,6 @@ from .scenario import (
     Scenario,
     grid_array,
     load_scenario,
-    scenario_from_raw,
     scenario_hash,
     source_config,
     squeeze_params,
@@ -66,6 +64,7 @@ def _write_text(fh, header: str, cells) -> int:
     if mid == 0 or not hasattr(os, "fork"):
         fh.writelines(_block_text(cells, start) for start in starts)
         return 0
+    import shutil
     import signal
     import tempfile
 
@@ -89,8 +88,7 @@ def _write_text(fh, header: str, cells) -> int:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if code == 0:
             spool.seek(0)
-            while chunk := spool.read(_COPY_CHARS):
-                fh.write(chunk)
+            shutil.copyfileobj(spool, fh, _COPY_CHARS)
     return code
 
 
@@ -128,17 +126,6 @@ def _header(sc: Scenario, command: str) -> list[str]:
         f"cavity-omega-0-rad-s (from effective length): {sc.cavity.omega_0:.17g}",
         f"cavity-omega-0-rad-s (from bare length): {omega_0_table:.17g}",
     ]
-
-
-def _apply_overrides(sc: Scenario, points: int | None, window_time: float | None) -> Scenario:
-    if points is None and window_time is None:
-        return sc
-    raw = copy.deepcopy(sc.raw)
-    if points is not None:
-        raw["grid"]["points"] = points
-    if window_time is not None:
-        raw["window_time_s"] = window_time
-    return scenario_from_raw(raw)
 
 
 def _run_spectrum(sc: Scenario, args):
@@ -302,8 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        sc = load_scenario(args.scenario)
-        sc = _apply_overrides(sc, args.points, args.window_time)
+        sc = load_scenario(args.scenario, args.points, args.window_time)
         extra, columns, cells = _COMMANDS[args.command][0](sc, args)
         _write_table(args.out, _header(sc, args.command) + extra, columns, cells)
     except (ConfigError, MemoryError) as exc:  # a --points, --dim or --samples too large to allocate is bad input

@@ -10,16 +10,15 @@ zero temperature; n_thermal collects the occupation-driven terms, and
 n_mech_only is the flux lost when the mechanical modulation is removed
 (delta_c = 0) while the voltage source stays connected.
 
-Only live rows are evaluated: all five coefficient magnitudes come from one
-call of cavity.dressed_coefficients per output_spectrum call, on the grid
-points outside the coherent-line guard bands. That call covers every lane
-when the configuration's delta_c, v_pp or z0 holds an array of lanes (see
-scatter), so a parameter sweep is one spectrum pass: guard resolution, the
-cavity denominator, the mode responses and the thermal occupations run once
-for all its values. The S-type terms are window-independent occupation
-densities; the h term uses the steady (window-independent) part of the source
-spectrum, with the coherent drive lines split off and their guard bands
-excluded.
+Only live rows are evaluated: per output_spectrum call, on the grid points
+outside the coherent-line guard bands, all five coefficient magnitudes come
+from one cavity.dressed_coefficients call and the three bath occupations from
+one thermal_occupation call on the stacked frequencies w, W+w and W-w. Both
+cover every lane when the configuration's delta_c, v_pp or z0 holds an array
+of lanes (see scatter), so a parameter sweep is one spectrum pass. The S-type
+terms are window-independent occupation densities; the h term uses the steady
+(window-independent) part of the source spectrum, with the coherent drive
+lines split off and their guard bands excluded.
 """
 
 from __future__ import annotations
@@ -126,9 +125,7 @@ def output_spectrum(
             # |R|^2, |S1|^2, |S2|^2, |h_res|^2 and the delta_c = 0 |h_res|^2
             r_sq, s1_sq, s2_sq, h_sq, h_static_sq = (np.abs(c) ** 2 for c in dressed_coefficients(w, cav, cfg, line))
 
-            n_in = thermal_occupation(w, env)
-            n_in_up = thermal_occupation(om + w, env)
-            n_in_down = thermal_occupation(om - w, env)
+            n_in, n_in_up, n_in_down = thermal_occupation(np.stack([w, om + w, om - w]), env)
 
             n_thermal = r_sq * n_in + s1_sq * n_in_up + s2_sq * n_in_down
             n_dce = s2_sq + h_sq

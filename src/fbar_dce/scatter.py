@@ -160,5 +160,5 @@ def source_spectrum(cfg: SourceConfig, omega):
 
 def h_coefficient(omega, cfg: SourceConfig, line: LineParams):
     """Drive-sourced emission amplitude -i * sqrt(4*pi*z0/(hbar*omega)) * source_spectrum."""
-    w = positive_frequencies(omega)
-    return -1j * np.sqrt(4.0 * math.pi * line.z0 / (HBAR * w)) * source_spectrum(cfg, w)
+    spectrum = source_spectrum(cfg, omega)  # checks omega, so it runs first
+    return -1j * np.sqrt(4.0 * math.pi * line.z0 / (HBAR * omega)) * spectrum

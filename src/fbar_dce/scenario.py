@@ -228,15 +228,18 @@ def scenario_from_raw(raw: dict) -> Scenario:
     return scenario
 
 
-def load_scenario(path_or_preset: str | Path) -> Scenario:
-    """Load a scenario from a preset name or a JSON file path."""
+def load_scenario(path_or_preset: str | Path, points: int | None = None, window_time: float | None = None) -> Scenario:
+    """Load a preset or a JSON file; points and window_time, if given, replace its values before it is validated."""
     name = str(path_or_preset)
-    if name in PRESET_NAMES:
-        return scenario_from_raw(preset_raw(name))
     try:
-        raw = json.loads(Path(path_or_preset).read_text(encoding="utf-8"))
+        raw = preset_raw(name) if name in PRESET_NAMES else json.loads(Path(name).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # unreadable path, not UTF-8, or invalid JSON
         raise ConfigError(f"scenario {name!r} is no preset, and an unreadable file or invalid JSON: {exc}") from exc
+    if isinstance(raw, dict):  # scenario_from_raw rejects a root or a grid that is no object
+        if points is not None and isinstance(raw.get("grid"), dict):
+            raw["grid"]["points"] = points
+        if window_time is not None:
+            raw["window_time_s"] = window_time
     return scenario_from_raw(raw)
 
 

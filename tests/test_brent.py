@@ -69,17 +69,6 @@ def test_minimize_bounded_matches_minimize_scalar_bits(data, left, right, xatol)
     assert (x.hex(), converged) == (float(expected.x).hex(), expected.success)
 
 
-def test_find_root_returns_an_exact_zero_endpoint():
-    f = lambda x: x - 1.0  # noqa: E731
-    assert find_root(f, 1.0, 3.0, 1e-3, 200) == brentq(f, 1.0, 3.0, xtol=1e-3) == 1.0
-    assert find_root(f, -1.0, 1.0, 1e-3, 200) == brentq(f, -1.0, 1.0, xtol=1e-3) == 1.0
-
-
-def test_find_root_rejects_an_unbracketed_interval():
-    with pytest.raises(ValueError):
-        find_root(lambda x: x - 1.0, 2.0, 3.0, 1e-3, 200)
-
-
 @pytest.mark.parametrize("maxiter", range(1, 19))
 def test_find_root_raises_when_iterations_run_out(maxiter):
     # on the whole branch SciPy needs 16 iterations; the budget runs out exactly where its does

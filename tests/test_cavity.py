@@ -25,6 +25,7 @@ from fbar_dce.cavity import (
     resonance_residual,
 )
 from fbar_dce.piezo import DriveParams
+from fbar_dce.scenario import PRESET_NAMES, load_scenario
 from fbar_dce.scatter import (
     LineParams,
     SourceConfig,
@@ -216,6 +217,13 @@ def test_cavity_resonances_reports_exhausted_refinement(monkeypatch):
 def test_resonance_residual_finite_at_tangent_pole():
     pole = 3.0 * CAV.omega_0 / 4.0
     assert np.isfinite(resonance_residual(pole, CAV))
+    # math.tan is finite on every float, so the mismatch needs no step off a pole: the float
+    # nearest each of the first 1000 poles of each preset, and its two neighbours
+    for preset in PRESET_NAMES:
+        cav = load_scenario(preset).cavity
+        for pole in (2 * np.arange(1000) + 1) * (cav.omega_0 / 4.0):
+            for w in (np.nextafter(pole, 0.0), pole, np.nextafter(pole, np.inf)):
+                assert math.isfinite(resonance_residual(float(w), cav)), (preset, w)
 
 
 def test_dressed_coefficients_static_mirror():

@@ -238,6 +238,86 @@ def test_flag_validation_exit_code_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _entries(function, call):
+    """(result of call(), number of times function's code was entered meanwhile), counted with sys.setprofile."""
+    code, count = function.__code__, [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            count[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(previous)
+    return result, count[0]
+
+
+@pytest.mark.parametrize(
+    "flag, bad, good",
+    [pytest.param("--points", 1, 100, id="points"), pytest.param("--window-time", 1e-9, 1e-6, id="window-time")],
+)
+def test_override_replaces_invalid_file_value(tmp_path, flag, bad, good):
+    # the override is written into the file's mapping before its one validation, so it replaces a bad value
+    def scenario(value, name):
+        def mutate(raw):
+            raw["grid"]["points"] = 64
+            if flag == "--points":
+                raw["grid"]["points"] = value
+            else:
+                raw["window_time_s"] = value
+
+        return str(_write_scenario(tmp_path, mutate, name))
+
+    rescued, expected = tmp_path / "rescued.csv", tmp_path / "expected.csv"
+    assert cli.main(["spectrum", "--scenario", scenario(bad, "bad.json"), flag, str(good), "--out", str(rescued)]) == 0
+    assert cli.main(["spectrum", "--scenario", scenario(good, "good.json"), "--out", str(expected)]) == 0
+    assert rescued.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "content, flags, message",
+    [
+        pytest.param(None, ["--points", "1"], "field grid.points must be an integer in [2, ", id="points"),
+        pytest.param(None, ["--window-time", "1e-9"], "window_time must exceed 100 modulation", id="window"),
+        pytest.param(lambda raw: [1, 2], ["--points", "100"], "scenario root must be a JSON object", id="root-list"),
+        pytest.param(lambda raw: {**raw, "grid": 5}, ["--points", "100"], "field grid must be an object", id="grid-5"),
+        pytest.param(
+            lambda raw: {k: v for k, v in raw.items() if k != "grid"},
+            ["--points", "100", "--window-time", "1e-6"],
+            "missing field: grid",
+            id="no-grid",
+        ),
+    ],
+)
+def test_invalid_override_exit_code_2_with_one_validation(tmp_path, capsys, content, flags, message):
+    # an invalid override fails with the message of the same value in the file, and the scenario is built once
+    scenario = "low-q"
+    if content is not None:
+        scenario = tmp_path / "odd.json"
+        scenario.write_text(json.dumps(content(preset_raw("low-q"))))
+    out = tmp_path / "x.csv"
+    argv = ["spectrum", "--scenario", str(scenario), *flags, "--out", str(out)]
+    rc, builds = _entries(fbar_dce.scenario.scenario_from_raw, lambda: cli.main(argv))
+    assert rc == 2 and builds == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_spectrum_checks_each_input_once(tmp_path):
+    # one scenario build per command, and at most 7 frequency checks per output_spectrum call
+    argv = ["spectrum", "--points", "64", "--out", str(tmp_path / "x.csv")]
+    rc, builds = _entries(fbar_dce.scenario.scenario_from_raw, lambda: cli.main(argv))
+    assert rc == 0 and builds == 1
+    sc = load_scenario("low-q")
+    args = (np.array([OMEGA_M / 2.0]), sc.cavity, source_config(sc), sc.line, sc.env)
+    _, checks = _entries(fbar_dce.errors.positive_frequencies, lambda: flux.output_spectrum(*args))
+    assert checks <= 7
+
+
 def test_no_drive_spectrum_is_bose_curve(tmp_path):
     path = _write_scenario(tmp_path, lambda raw: raw["drive"].__setitem__("v_pp_volts", 0.0))
     out = tmp_path / "bose.csv"

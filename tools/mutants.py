@@ -117,9 +117,16 @@ MUTANTS = {
     # the bath at omega_m + omega feeds |S1|^2, the bath at omega_m - omega feeds |S2|^2
     "thermal-swap-sidebands": Mutant(
         "flux.py",
-        "            n_in_up = thermal_occupation(om + w, env)\n            n_in_down = thermal_occupation(om - w, env)\n",
-        "            n_in_up = thermal_occupation(om - w, env)\n            n_in_down = thermal_occupation(om + w, env)\n",
+        "np.stack([w, om + w, om - w])",
+        "np.stack([w, om - w, om + w])",
         ("tests/test_flux.py::test_thermal_terms_recompose_from_dressed_coefficients",),
+    ),
+    # --window-time replaces the file's window_time_s before the scenario is validated
+    "override-drops-window-time": Mutant(
+        "scenario.py",
+        '            raw["window_time_s"] = window_time\n',
+        "            pass\n",
+        ("tests/test_cli.py::test_override_replaces_invalid_file_value",),
     ),
     # round-off below zero in n_mech_only is clipped to +0.0
     "drop-mech-only-clip": Mutant(
