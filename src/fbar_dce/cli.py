@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from dataclasses import replace
 
@@ -37,7 +38,6 @@ _SWEEP_AXES = ("v_pp", "q", "z0", "delta_x")
 
 
 _BLOCK_ROWS = 8192
-_COPY_CHARS = 1 << 16  # the forked child's text is appended in chunks of this size, so memory stays bounded
 # by dtype kind: text as is, bools 1/0, ints as digits, anything else as a float with 17 significant digits
 _CELL_FORMAT = {"U": "%s", "b": "%d", "i": "%d", "u": "%d"}
 
@@ -56,7 +56,8 @@ def _write_text(fh, header: str, cells) -> int:
     A table of two or more blocks is formatted on two processes: a forked
     child formats the second half of the blocks into an anonymous temporary
     file while this process writes the first half, then appends the child's
-    text in _COPY_CHARS chunks. Where os.fork is missing the blocks run here.
+    text with shutil.copyfileobj, one bounded chunk at a time. Where os.fork is
+    missing the blocks run here.
     """
     fh.write(header)
     starts = range(0, len(cells[0]) if cells else 0, _BLOCK_ROWS)
@@ -88,7 +89,41 @@ def _write_text(fh, header: str, cells) -> int:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if code == 0:
             spool.seek(0)
-            shutil.copyfileobj(spool, fh, _COPY_CHARS)
+            shutil.copyfileobj(spool, fh)
+    return code
+
+
+def _write_file(out_path: str, header: str, cells) -> int:
+    """Write the table to a file; return the forked formatter's exit code (0 if none).
+
+    A missing target or a regular file is replaced only once the table is
+    complete: the rows go to a temporary name next to it, created as a new
+    file (so the umask applies) and given an existing target's mode, which
+    then replaces the target. On any failure the temporary file is removed
+    and the old file stays as it was. A FIFO or a device is written in place.
+    """
+    target = os.path.realpath(out_path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(out_path, "w", newline="") as fh:
+            return _write_text(fh, header, cells)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", newline="")
+    replaced = False
+    try:
+        with fh:
+            code = _write_text(fh, header, cells)
+        if code == 0:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+            os.replace(tmp, target)
+            replaced = True
+    finally:
+        if not replaced:
+            os.unlink(tmp)
     return code
 
 
@@ -100,8 +135,7 @@ def _write_table(out_path: str, header_lines: list[str], columns: list[str], cel
             code = _write_text(sys.stdout, header, cells)
             sys.stdout.flush()
         else:
-            with open(out_path, "w", newline="") as fh:
-                code = _write_text(fh, header, cells)
+            code = _write_file(out_path, header, cells)
     except OSError as exc:
         if out_path == "-":  # a closed pipe: the flush at exit must not fail again
             with open(os.devnull, "w") as null:

@@ -5,8 +5,10 @@ import functools
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -572,24 +574,34 @@ def _cell_by_cell_text(path, command):
     return expected
 
 
-@pytest.mark.parametrize("command", ["spectrum", "decompose"])
-def test_spectrum_bytes_match_cell_by_cell_rule(tmp_path, command):
-    path = _guard_grid(tmp_path, 200)
-    out = tmp_path / f"{command}.csv"
-    assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == 0
-    assert out.read_bytes() == _cell_by_cell_text(path, command).encode()
+@pytest.fixture(scope="module")
+def cell_by_cell(tmp_path_factory):
+    """(scenario path, expected bytes) of the guard grid per (command, points); each is built once per module."""
+
+    @functools.cache
+    def scenario(points):
+        return _guard_grid(tmp_path_factory.mktemp(f"guard-{points}"), points)
+
+    @functools.cache
+    def table(command, points):
+        path = scenario(points)
+        return path, _cell_by_cell_text(path, command).encode()
+
+    return table
 
 
-@pytest.mark.parametrize("block_rows", [1, 7, None], ids=["1", "7", "default"])
+@pytest.mark.parametrize(
+    "points,block_rows", [(20_000, 1), (20_000, 7), (20_000, None), (200, None)], ids=["1", "7", "default", "200-rows"]
+)
 @pytest.mark.parametrize("command", ["spectrum", "decompose"])
-def test_block_boundaries_keep_cell_by_cell_bytes(tmp_path, monkeypatch, command, block_rows):
-    # 20 000 rows span three default blocks; the guard rows sit in the last one
-    path = _guard_grid(tmp_path, 20_000)
+def test_block_boundaries_keep_cell_by_cell_bytes(tmp_path, monkeypatch, cell_by_cell, command, points, block_rows):
+    # 20 000 rows span three default blocks; the guard rows sit in the last one. 200 rows are one block
+    path, expected = cell_by_cell(command, points)
     if block_rows is not None:
         monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
     out = tmp_path / f"{command}.csv"
     assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == 0
-    assert out.read_bytes() == _cell_by_cell_text(path, command).encode()
+    assert out.read_bytes() == expected
 
 
 @pytest.mark.parametrize(
@@ -687,7 +699,8 @@ def test_tables_below_two_blocks_never_fork(tmp_path, monkeypatch, args):
 
 @pytest.mark.parametrize("target", ["file", "stdout"])
 def test_failing_child_formatter_exit_code_2(tmp_path, capsys, monkeypatch, forks, target):
-    # the child's blocks raise; the parent's are written: one error line, exit 2, and no child left
+    # the child's blocks raise; the parent's are written: one error line, exit 2, and no child left.
+    # An existing --out file keeps its bytes, and no temporary file is left next to it
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 8)
     parent, block_text = os.getpid(), cli._block_text
 
@@ -697,13 +710,42 @@ def test_failing_child_formatter_exit_code_2(tmp_path, capsys, monkeypatch, fork
         return block_text(cells, start)
 
     monkeypatch.setattr(cli, "_block_text", child_fails)
-    out = "-" if target == "stdout" else str(tmp_path / "table.csv")
+    table = tmp_path / "table.csv"
+    table.write_bytes(b"old table\n")
+    out = "-" if target == "stdout" else str(table)
     assert cli.main(["spectrum", "--points", "64", "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: cannot write {out}: the forked row formatter exited with code 1")
     assert err.count("\n") == 1
     assert len(forks) == 1
     _assert_reaped(forks)
+    assert table.read_bytes() == b"old table\n"
+    assert os.listdir(tmp_path) == ["table.csv"]
+
+
+def test_out_replaces_a_file_and_keeps_its_mode(tmp_path):
+    out = tmp_path / "table.csv"
+    out.write_text("old table\n")
+    out.chmod(0o640)
+    assert cli.main(["spectrum", "--points", "16", "--out", str(out)]) == 0
+    assert out.read_text().startswith(f"# fbar-dce {__version__} spectrum\n")
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert os.listdir(tmp_path) == ["table.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_out_fifo_is_written_in_place(tmp_path, capsys):
+    # a FIFO is not replaced by a regular file: the reader gets the table through it
+    fifo = tmp_path / "table.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert cli.main(["spectrum", "--points", "16", "--out", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert cli.main(["spectrum", "--points", "16"]) == 0
+    assert received == [capsys.readouterr().out.encode()]
 
 
 def test_closed_stdout_during_fork_path_leaves_no_child(tmp_path):
@@ -790,76 +832,88 @@ def _package_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
 
 
-def _run_fresh(args):
-    # a fresh interpreter, so sys.modules holds only what this one command imported
-    code = (
-        "import sys\nfrom fbar_dce import cli\nrc = cli.main(sys.argv[1:])\n"
-        "print(rc, any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=_package_env(), check=True
-    )
-    rc, scipy_loaded = proc.stdout.split()
-    return int(rc), scipy_loaded == "True"
+_FRESH_CODE = """\
+import hashlib, json, os, sys
+from fbar_dce import cli
+runs = {}
+for name, argv in json.loads(sys.argv[2]).items():
+    out = os.path.join(sys.argv[1], name + ".csv")
+    rc = cli.main(argv + ["--out", out])
+    digest = hashlib.sha256(open(out, "rb").read()).hexdigest() if os.path.exists(out) else None
+    runs[name] = {"rc": rc, "sha256": digest, "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules)}
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps({"runs": runs, "threads": threads, "setting": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["spectrum", "--points", "64"],
-        ["decompose", "--points", "64"],
-        ["sweep", "--axis", "z0", "--values", "55,10000"],
-        ["squeeze", "--dim", "16", "--samples", "3"],
-        ["resonances"],
-    ],
-    ids=lambda args: args[0],
-)
-def test_no_command_loads_scipy(tmp_path, args):
-    assert _run_fresh(args + ["--out", str(tmp_path / "x.csv")]) == (0, False)
+def _run_fresh(out_dir, argvs, blas_threads=None):
+    """Run each named argv through cli.main, in order, in one fresh interpreter, whose modules and threads are its own.
 
-
-def _fresh_blas_threads(env, args):
-    # a fresh interpreter runs one command: (exit code, OS threads at its end, OPENBLAS_NUM_THREADS it saw)
-    code = (
-        "import os, sys\nfrom fbar_dce import cli\nrc = cli.main(sys.argv[1:])\n"
-        "print(rc, len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
-    )
-    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True)
-    rc, threads, setting = proc.stdout.split()
-    return int(rc), int(threads), setting
-
-
-_SQUEEZE_DEEP = ["squeeze", "--dim", "240", "--t-max", "2"]
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
-def test_command_runs_one_blas_thread_by_default(tmp_path):
-    # the squeeze matvec is the one BLAS call; it is split across threads at dim 240 unless told not to be
+    The interpreter sees OPENBLAS_NUM_THREADS=blas_threads, or no such variable for None. Its report:
+    "runs" maps each name to the exit code, the sha256 of the table and whether a scipy module is
+    loaded afterwards; "threads" is the OS thread count at its end (None where /proc/self/task is
+    missing) and "setting" the OPENBLAS_NUM_THREADS it saw.
+    """
     env = _package_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
-    assert _fresh_blas_threads(env, _SQUEEZE_DEEP + ["--out", str(tmp_path / "x.csv")]) == (0, 1, "1")
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_CODE, str(out_dir), json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return json.loads(proc.stdout)
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
-def test_user_blas_thread_setting_is_kept(tmp_path):
-    env = dict(_package_env(), OPENBLAS_NUM_THREADS="2")
-    rc, _, setting = _fresh_blas_threads(env, _SQUEEZE_DEEP + ["--out", str(tmp_path / "x.csv")])
-    assert (rc, setting) == (0, "2")
+_SCIPY_CHECKS = {
+    "spectrum": ["spectrum", "--points", "64"],
+    "decompose": ["decompose", "--points", "64"],
+    "sweep": ["sweep", "--axis", "z0", "--values", "55,10000"],
+    "squeeze": ["squeeze", "--dim", "16", "--samples", "3"],
+    "resonances": ["resonances"],
+}
+# the squeeze matvec is the one BLAS call; it is split across threads at dim 240 unless told not to be
+_SQUEEZES = {f"squeeze-{dim}": ["squeeze", "--dim", str(dim), "--t-max", "2"] for dim in (60, 61, 240, 241)}
+
+
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    # OPENBLAS_NUM_THREADS unset: the SciPy checks, then the squeezes
+    return _run_fresh(tmp_path_factory.mktemp("default"), {**_SCIPY_CHECKS, **_SQUEEZES})
+
+
+@pytest.fixture(scope="module")
+def two_thread_run(tmp_path_factory):
+    return _run_fresh(tmp_path_factory.mktemp("two-threads"), _SQUEEZES, blas_threads="2")
+
+
+@pytest.mark.parametrize("command", _SCIPY_CHECKS)
+def test_no_command_loads_scipy(default_run, command):
+    # a module stays loaded, so no command before this one loaded SciPy either
+    run = default_run["runs"][command]
+    assert (run["rc"], run["scipy"]) == (0, False)
+
+
+def test_command_runs_one_blas_thread_by_default(default_run):
+    assert default_run["setting"] == "1"
+    if default_run["threads"] is None:
+        pytest.skip("counts threads in /proc/self/task")
+    assert default_run["threads"] == 1
+
+
+def test_user_blas_thread_setting_is_kept(two_thread_run):
+    assert two_thread_run["setting"] == "2"
 
 
 @pytest.mark.parametrize("dim", [60, 61, 240, 241])
-def test_blas_thread_count_keeps_squeeze_bytes(tmp_path, dim):
+def test_blas_thread_count_keeps_squeeze_bytes(default_run, two_thread_run, dim):
     # one thread is the default only because the thread count moves no bit of the table
-    tables = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads-{threads}.csv"
-        subprocess.run(
-            [sys.executable, "-m", "fbar_dce.cli", "squeeze", "--dim", str(dim), "--t-max", "2", "--out", str(out)],
-            env=dict(_package_env(), OPENBLAS_NUM_THREADS=threads),
-            check=True,
-        )
-        tables.append(out.read_bytes())
-    assert tables[0] == tables[1]
+    one, two = default_run["runs"][f"squeeze-{dim}"], two_thread_run["runs"][f"squeeze-{dim}"]
+    assert one["rc"] == two["rc"] == 0
+    assert one["sha256"] == two["sha256"]
 
 
 # functions in src/ that no command runs, with the reason each stays there

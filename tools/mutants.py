@@ -100,6 +100,13 @@ MUTANTS = {
         "            raise\n        code = os.waitstatus_to_exitcode(",
         ("tests/test_cli.py::test_closed_stdout_during_fork_path_leaves_no_child",),
     ),
+    # --out over a regular file goes through a temporary file, so a failed command keeps the old file
+    "out-written-in-place": Mutant(
+        "cli.py",
+        "    if mode is not None and not stat.S_ISREG(mode):\n",
+        "    if True:\n",
+        ("tests/test_cli.py::test_failing_child_formatter_exit_code_2",),
+    ),
     # the lower sideband takes the conjugated self-frequency response
     "dressing-drop-conj-in-s2": Mutant(
         "cavity.py",
