@@ -38,6 +38,9 @@ _SWEEP_AXES = ("v_pp", "q", "z0", "delta_x")
 
 
 _BLOCK_ROWS = 8192
+# a block of fewer rows is formatted with %: below ~2000 rows the numpy formatter's import and set-up
+# (2-4 ms) cost more than it saves, and the default 2000-point grid stays clear of that cost
+_NUMPY_ROWS = 4096
 # by dtype kind: text as is, bools 1/0, ints as digits, anything else as a float with 17 significant digits
 _CELL_FORMAT = {"U": "%s", "b": "%d", "i": "%d", "u": "%d"}
 
@@ -46,7 +49,12 @@ def _block_text(cells, start: int) -> str:
     """The rows from start to start + _BLOCK_ROWS."""
     # columns are converted a block at a time: a tuple column (the flags) never becomes one whole array
     block = [np.asarray(column[start : start + _BLOCK_ROWS]) for column in cells]
-    row = ",".join(_CELL_FORMAT.get(column.dtype.kind, "%.17g") for column in block) + "\n"
+    formats = [_CELL_FORMAT.get(column.dtype.kind, "%.17g") for column in block]
+    if len(block[0]) >= _NUMPY_ROWS:
+        from . import floattext
+
+        return floattext.block_text(block, formats)
+    row = ",".join(formats) + "\n"
     return "".join(map(row.__mod__, zip(*(column.tolist() for column in block))))
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fbar_dce
-from fbar_dce import __version__, cavity, cli, flux
+from fbar_dce import __version__, cavity, cli, floattext, flux
 from fbar_dce.cavity import cavity_resonances
 from fbar_dce.constants import TWO_PI
 from fbar_dce.flux import ThermalEnv, thermal_occupation
@@ -591,14 +592,22 @@ def cell_by_cell(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "points,block_rows", [(20_000, 1), (20_000, 7), (20_000, None), (200, None)], ids=["1", "7", "default", "200-rows"]
+    "points,block_rows,numpy_rows",
+    [(20_000, 1, None), (20_000, 7, None), (20_000, None, None), (200, None, None), (20_000, 2003, 1)],
+    ids=["1", "7", "default", "200-rows", "numpy-2003"],
 )
 @pytest.mark.parametrize("command", ["spectrum", "decompose"])
-def test_block_boundaries_keep_cell_by_cell_bytes(tmp_path, monkeypatch, cell_by_cell, command, points, block_rows):
-    # 20 000 rows span three default blocks; the guard rows sit in the last one. 200 rows are one block
+def test_block_boundaries_keep_cell_by_cell_bytes(
+    tmp_path, monkeypatch, cell_by_cell, command, points, block_rows, numpy_rows
+):
+    # 20 000 rows span three default blocks: the first two go through the numpy formatter, the last
+    # one, with the guard rows, through %. 200 rows are one block. numpy-2003 formats every block,
+    # the NaN guard rows too, in numpy
     path, expected = cell_by_cell(command, points)
     if block_rows is not None:
         monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    if numpy_rows is not None:
+        monkeypatch.setattr(cli, "_NUMPY_ROWS", numpy_rows)
     out = tmp_path / f"{command}.csv"
     assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == 0
     assert out.read_bytes() == expected
@@ -648,32 +657,52 @@ def _assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
+def _float_edges():
+    """Floats at the edges of the '%.17g' layout and rounding, both signs, with the double nearest each power of ten."""
+    edges = [0.0, math.nan, math.inf, 5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]
+    for k in range(-323, 309):
+        ten = float(f"1e{k}")  # the double nearest 10**k: the one nearest 1e-14 lies below it and prints as 1e-14
+        edges += [math.nextafter(ten, 0.0), ten, math.nextafter(ten, math.inf)]
+    edges += [9.999999999999998e16, 1493716411664495 / 8]  # 99999999999999984; an exact tie, 186714551458061.88
+    # either side of the switches between fixed and exponent notation, at -5/-4 and 16/17
+    edges += [1.2345678901234567e-5, 1.2345678901234567e-4, 1.2345678901234567e16, 1.2345678901234567e17]
+    return edges + [-x for x in edges]
+
+
+_FLOAT_EDGES = _float_edges()
+
+
 def _mixed_cells(rows):
-    # a float, a bool, an int and a text column, the flags passed as a tuple of str
+    # a float, a bool, an int, a text column (the flags, passed as a tuple of str) and the float edges, cycled
     rng = np.random.default_rng(rows)
     floats = rng.standard_normal(rows)
     floats[::5] = np.nan
     flags = tuple(np.where(rng.random(rows) < 0.3, "guard-band", "").tolist())
-    return [floats, floats > 0, np.arange(rows) * 7 - 3, flags]
+    return [floats, floats > 0, np.arange(rows) * 7 - 3, flags, np.resize(_FLOAT_EDGES, rows)]
 
 
 @pytest.mark.parametrize(
-    "rows,forked", [(0, 0), (4, 0), (8, 1), (9, 1), (20, 1)], ids=["0", "1-block", "2-blocks", "3-blocks", "5-blocks"]
+    "rows,forked",
+    [(0, 0), (4, 0), (8, 1), (9, 1), (20, 1), (len(_FLOAT_EDGES), 1)],
+    ids=["0", "1-block", "2-blocks", "3-blocks", "5-blocks", "all-edges"],
 )
 @pytest.mark.parametrize("target", ["file", "stdout"])
 def test_fork_path_keeps_cell_by_cell_bytes(tmp_path, capsys, monkeypatch, forks, rows, forked, target):
-    # 4-row blocks: a table of two or more blocks is split between this process and one forked child
+    # 4-row blocks: a table of two or more blocks is split between this process and one forked child.
+    # The table is written twice: every block through the numpy formatter, then every block through %
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
     cells = _mixed_cells(rows)
-    columns = ["x", "positive", "index", "flags"]
+    columns = ["x", "positive", "index", "flags", "edge"]
     expected = "# fork path\n" + ",".join(columns) + "\n"
     expected += "".join(",".join(_cell(column[i]) for column in cells) + "\n" for i in range(rows))
     out = tmp_path / "table.csv"
-    capsys.readouterr()
-    cli._write_table("-" if target == "stdout" else str(out), ["fork path"], columns, cells)
-    text = capsys.readouterr().out if target == "stdout" else out.read_bytes().decode()
-    assert text == expected
-    assert len(forks) == forked
+    for numpy_rows in (1, 5):
+        monkeypatch.setattr(cli, "_NUMPY_ROWS", numpy_rows)
+        capsys.readouterr()
+        cli._write_table("-" if target == "stdout" else str(out), ["fork path"], columns, cells)
+        text = capsys.readouterr().out if target == "stdout" else out.read_bytes().decode()
+        assert text == expected, numpy_rows
+    assert len(forks) == 2 * forked
     _assert_reaped(forks)
 
 
@@ -791,8 +820,10 @@ def _writer_peak_bytes(path, rows):
 
 def _check_writer_memory(tmp_path, monkeypatch):
     assert cli._BLOCK_ROWS <= 8192  # the production block stays bounded; the check below runs at 1024 rows
-    # 4 and 32 blocks: a writer that held the whole table would grow ~8x
+    # 4 and 32 blocks, through the numpy formatter as large blocks are: a writer that held the whole
+    # table would grow ~8x
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 1024)
+    monkeypatch.setattr(cli, "_NUMPY_ROWS", 1024)
     small = _writer_peak_bytes(tmp_path / "small.csv", 4_096)
     large = _writer_peak_bytes(tmp_path / "large.csv", 32_768)
     assert large < 1.5 * small, (small, large)
@@ -826,6 +857,53 @@ def test_percent_template_matches_cell_rule(x, b, i):
     assert "%d" % i == str(i)
 
 
+def _numpy_cells(values):
+    # the numpy formatter's text of one float column, a cell per line
+    return floattext.block_text([np.asarray(values, dtype=float)], ["%.17g"]).splitlines()
+
+
+def test_numpy_formatter_matches_percent_on_the_float_edges():
+    assert _numpy_cells(_FLOAT_EDGES) == ["%.17g" % x for x in _FLOAT_EDGES]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=64))
+def test_numpy_formatter_matches_percent_cell_by_cell(patterns):
+    # any 64-bit pattern viewed as a float64: every sign, exponent and mantissa, NaN and subnormals included
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert _numpy_cells(values) == ["%.17g" % x for x in values.tolist()]
+
+
+# doubles whose 17-digit scaled value lies within 3e-16 of a rounding tie, found from the continued
+# fractions of 2**q * 10**-k. The numpy product lands strictly inside the tie for each of them, so
+# only the tie margin sends them to Python
+_NEAR_TIES = [
+    6.856808288635525e-232,
+    1.8113313319219899e-187,
+    1.9451448413689272e-170,
+    1.9845342810076013e-114,
+    5.050313365378181e88,
+    1.1272308135612832e125,
+    5.958728784444478e240,
+    6.875456289743629e240,
+    2.8255267384097457e258,
+    2.6862920230333168e280,
+]
+
+
+def test_cells_near_a_rounding_tie_are_written_by_python():
+    # proven digits must not rest on a product known only to ~1e-14: a cell this close to a tie is
+    # left to '%.17g' %, and so is the exact tie
+    ties = _NEAR_TIES + [1493716411664495 / 8]
+    for x in ties:
+        decade = int(f"{x:e}".split("e")[1])
+        scaled = Fraction(x) * Fraction(10) ** (16 - decade)
+        assert abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(3, 10**16), x
+    proven = floattext._digits(np.array(ties))[2]
+    assert not proven.any()
+    assert _numpy_cells(ties) == ["%.17g" % x for x in ties]
+
+
 def _package_env():
     # the environment of a fresh interpreter that imports this checkout's package
     package_root = str(Path(fbar_dce.__file__).resolve().parents[1])
@@ -840,7 +918,13 @@ for name, argv in json.loads(sys.argv[2]).items():
     out = os.path.join(sys.argv[1], name + ".csv")
     rc = cli.main(argv + ["--out", out])
     digest = hashlib.sha256(open(out, "rb").read()).hexdigest() if os.path.exists(out) else None
-    runs[name] = {"rc": rc, "sha256": digest, "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules)}
+    runs[name] = {
+        "rc": rc,
+        "sha256": digest,
+        "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules),
+        "numpy_ma": "numpy.ma" in sys.modules,
+        "floattext": "fbar_dce.floattext" in sys.modules,
+    }
 threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 print(json.dumps({"runs": runs, "threads": threads, "setting": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """
@@ -850,9 +934,9 @@ def _run_fresh(out_dir, argvs, blas_threads=None):
     """Run each named argv through cli.main, in order, in one fresh interpreter, whose modules and threads are its own.
 
     The interpreter sees OPENBLAS_NUM_THREADS=blas_threads, or no such variable for None. Its report:
-    "runs" maps each name to the exit code, the sha256 of the table and whether a scipy module is
-    loaded afterwards; "threads" is the OS thread count at its end (None where /proc/self/task is
-    missing) and "setting" the OPENBLAS_NUM_THREADS it saw.
+    "runs" maps each name to the exit code, the sha256 of the table and whether a scipy module,
+    numpy.ma and the numpy float formatter are loaded afterwards; "threads" is the OS thread count at
+    its end (None where /proc/self/task is missing) and "setting" the OPENBLAS_NUM_THREADS it saw.
     """
     env = _package_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
@@ -877,12 +961,14 @@ _SCIPY_CHECKS = {
 }
 # the squeeze matvec is the one BLAS call; it is split across threads at dim 240 unless told not to be
 _SQUEEZES = {f"squeeze-{dim}": ["squeeze", "--dim", str(dim), "--t-max", "2"] for dim in (60, 61, 240, 241)}
+# the one table with blocks large enough for the numpy formatter; it runs last, since a module stays loaded
+_LARGE_TABLE = {"decompose-20000": ["decompose", "--points", "20000"]}
 
 
 @pytest.fixture(scope="module")
 def default_run(tmp_path_factory):
-    # OPENBLAS_NUM_THREADS unset: the SciPy checks, then the squeezes
-    return _run_fresh(tmp_path_factory.mktemp("default"), {**_SCIPY_CHECKS, **_SQUEEZES})
+    # OPENBLAS_NUM_THREADS unset: the SciPy checks, the squeezes, then a large table
+    return _run_fresh(tmp_path_factory.mktemp("default"), {**_SCIPY_CHECKS, **_SQUEEZES, **_LARGE_TABLE})
 
 
 @pytest.fixture(scope="module")
@@ -895,6 +981,18 @@ def test_no_command_loads_scipy(default_run, command):
     # a module stays loaded, so no command before this one loaded SciPy either
     run = default_run["runs"][command]
     assert (run["rc"], run["scipy"]) == (0, False)
+
+
+def test_no_command_loads_numpy_ma(default_run, two_thread_run):
+    # numpy.ma costs 13-15 ms to import and no command needs it (a first np.unique call would load it)
+    runs = [*default_run["runs"].items(), *two_thread_run["runs"].items()]
+    assert [name for name, run in runs if run["numpy_ma"]] == []
+
+
+def test_only_large_blocks_load_the_numpy_formatter(default_run, two_thread_run):
+    runs = [*default_run["runs"].items(), *two_thread_run["runs"].items()]
+    assert [name for name, run in runs if run["floattext"]] == list(_LARGE_TABLE)
+    assert default_run["runs"]["decompose-20000"]["rc"] == 0
 
 
 def test_command_runs_one_blas_thread_by_default(default_run):
@@ -951,6 +1049,7 @@ def test_every_src_function_runs_in_some_command(tmp_path):
             ["resonances"],
             ["sweep", "--axis", "z0", "--values", "55,10000,1e200"],
             ["squeeze", "--dim", "16", "--samples", "3"],
+            ["spectrum", "--points", str(cli._NUMPY_ROWS)],
         ],
         tmp_path,
     )

@@ -107,6 +107,23 @@ MUTANTS = {
         "    if True:\n",
         ("tests/test_cli.py::test_failing_child_formatter_exit_code_2",),
     ),
+    # numpy formatter: 17 digits that round up to 10**17 move to the next decade
+    "digits-carry-keeps-decade": Mutant(
+        "floattext.py",
+        "    e10[carry] += 1\n",
+        "",
+        (
+            "tests/test_cli.py::test_numpy_formatter_matches_percent_on_the_float_edges",
+            "tests/test_cli.py::test_fork_path_keeps_cell_by_cell_bytes",
+        ),
+    ),
+    # numpy formatter: a cell near a rounding tie is left to Python's '%.17g'
+    "digits-no-tie-margin": Mutant(
+        "floattext.py",
+        "_TIE_MARGIN = 2.0**-30",
+        "_TIE_MARGIN = 0.0",
+        ("tests/test_cli.py::test_cells_near_a_rounding_tie_are_written_by_python",),
+    ),
     # the lower sideband takes the conjugated self-frequency response
     "dressing-drop-conj-in-s2": Mutant(
         "cavity.py",
