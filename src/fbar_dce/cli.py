@@ -3,8 +3,11 @@ parameter sweeps and the parametric-model time series.
 
 Each command is a runner in `_COMMANDS`: `run(scenario, args)` gets the loaded,
 overridden scenario, checks its own options, writes nothing and returns
-`(extra_header_lines, columns, cells)`, one sequence of cells per column (an
-empty list for no rows). `main` writes that one table after the common header.
+`(extra_header_lines, columns, table)`. The table is `(rows, block)`:
+`block(start, stop)` gives one sequence of cells per column for those rows.
+`spectrum` and `decompose` evaluate each block as it is asked for; the other
+commands slice columns computed up front (`_precomputed`). `main` writes that
+one table after the common header.
 
 Exit codes: 0 success, 2 configuration/schema error (including a size too
 large to allocate), 3 numerical failure. All floats are emitted with 17
@@ -38,41 +41,50 @@ _SWEEP_AXES = ("v_pp", "q", "z0", "delta_x")
 
 
 _BLOCK_ROWS = 8192
-# a block of fewer rows is formatted with %: below ~2000 rows the numpy formatter's import and set-up
+# a table of fewer rows is formatted with %: below ~2000 rows the numpy formatter's import and set-up
 # (2-4 ms) cost more than it saves, and the default 2000-point grid stays clear of that cost
 _NUMPY_ROWS = 4096
 # by dtype kind: text as is, bools 1/0, ints as digits, anything else as a float with 17 significant digits
 _CELL_FORMAT = {"U": "%s", "b": "%d", "i": "%d", "u": "%d"}
 
 
-def _block_text(cells, start: int) -> str:
-    """The rows from start to start + _BLOCK_ROWS."""
-    # columns are converted a block at a time: a tuple column (the flags) never becomes one whole array
-    block = [np.asarray(column[start : start + _BLOCK_ROWS]) for column in cells]
-    formats = [_CELL_FORMAT.get(column.dtype.kind, "%.17g") for column in block]
-    if len(block[0]) >= _NUMPY_ROWS:
+def _precomputed(cells):
+    """The (rows, block) table of columns computed up front: block(start, stop) slices each column."""
+    return len(cells[0]) if cells else 0, lambda start, stop: [column[start:stop] for column in cells]
+
+
+def _block_text(table, start: int) -> str:
+    """The rows from start to start + _BLOCK_ROWS of a (rows, block) table."""
+    rows, block = table
+    cells = block(start, start + _BLOCK_ROWS)
+    if rows >= _NUMPY_ROWS:
         from . import floattext
 
-        return floattext.block_text(block, formats)
-    row = ",".join(formats) + "\n"
-    return "".join(map(row.__mod__, zip(*(column.tolist() for column in block))))
+        return floattext.block_text(cells)
+    cells = [np.asarray(column) for column in cells]
+    row = ",".join(_CELL_FORMAT.get(column.dtype.kind, "%.17g") for column in cells) + "\n"
+    return "".join(map(row.__mod__, zip(*(column.tolist() for column in cells))))
 
 
-def _write_text(fh, header: str, cells) -> int:
+def _write_text(fh, header: str, table) -> int:
     """Write the header and the rows a block at a time; return the forked formatter's exit code (0 if none).
 
-    A table of two or more blocks is formatted on two processes: a forked
-    child formats the second half of the blocks into an anonymous temporary
-    file while this process writes the first half, then appends the child's
-    text with shutil.copyfileobj, one bounded chunk at a time. Where os.fork is
-    missing the blocks run here.
+    A table of two or more blocks is evaluated and formatted on two processes:
+    a forked child takes the second half of the blocks into an anonymous
+    temporary file while this process writes the first half, then appends the
+    child's text with shutil.copyfileobj, one bounded chunk at a time. A
+    ConfigError or NumericalError in the child (exit code 2 or 3, its message
+    in the temporary file) is raised again here. Where os.fork is missing the
+    blocks run here.
     """
-    fh.write(header)
-    starts = range(0, len(cells[0]) if cells else 0, _BLOCK_ROWS)
+    starts = range(0, table[0], _BLOCK_ROWS)
     mid = len(starts) // 2
     if mid == 0 or not hasattr(os, "fork"):
-        fh.writelines(_block_text(cells, start) for start in starts)
+        texts = (_block_text(table, start) for start in starts)
+        fh.write(header + next(texts, ""))  # a failure in the first block writes nothing
+        fh.writelines(texts)
         return 0
+    fh.write(header)
     import shutil
     import signal
     import tempfile
@@ -83,25 +95,33 @@ def _write_text(fh, header: str, cells) -> int:
         if pid == 0:  # the child leaves through os._exit, which flushes none of the inherited stdio buffers
             code = 1
             try:
-                spool.writelines(_block_text(cells, start) for start in starts[mid:])
+                spool.writelines(_block_text(table, start) for start in starts[mid:])
                 spool.flush()
                 code = 0
+            except (SimulationError, ArithmeticError) as exc:  # main's exit code, and the message in the spool
+                spool.seek(0)
+                spool.truncate()
+                spool.write(str(exc))
+                spool.flush()
+                code = 2 if isinstance(exc, ConfigError) else 3
             finally:
                 os._exit(code)
         try:
-            fh.writelines(_block_text(cells, start) for start in starts[:mid])
+            fh.writelines(_block_text(table, start) for start in starts[:mid])
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        spool.seek(0)
         if code == 0:
-            spool.seek(0)
             shutil.copyfileobj(spool, fh)
+        elif code in (2, 3):
+            raise (ConfigError if code == 2 else NumericalError)(spool.read())
     return code
 
 
-def _write_file(out_path: str, header: str, cells) -> int:
+def _write_file(out_path: str, header: str, table) -> int:
     """Write the table to a file; return the forked formatter's exit code (0 if none).
 
     A missing target or a regular file is replaced only once the table is
@@ -117,13 +137,13 @@ def _write_file(out_path: str, header: str, cells) -> int:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
         with open(out_path, "w", newline="") as fh:
-            return _write_text(fh, header, cells)
+            return _write_text(fh, header, table)
     tmp = f"{target}.{os.getpid()}.tmp"
     fh = open(tmp, "x", newline="")
     replaced = False
     try:
         with fh:
-            code = _write_text(fh, header, cells)
+            code = _write_text(fh, header, table)
         if code == 0:
             if mode is not None:
                 os.chmod(tmp, stat.S_IMODE(mode))
@@ -135,15 +155,15 @@ def _write_file(out_path: str, header: str, cells) -> int:
     return code
 
 
-def _write_table(out_path: str, header_lines: list[str], columns: list[str], cells) -> None:
-    """Write a CSV table given one sequence of cells per column (none for an empty table)."""
+def _write_table(out_path: str, header_lines: list[str], columns: list[str], table) -> None:
+    """Write a CSV (rows, block) table (see the module docstring)."""
     header = "".join(f"# {line}\n" for line in header_lines) + ",".join(columns) + "\n"
     try:
         if out_path == "-":
-            code = _write_text(sys.stdout, header, cells)
+            code = _write_text(sys.stdout, header, table)
             sys.stdout.flush()
         else:
-            code = _write_file(out_path, header, cells)
+            code = _write_file(out_path, header, table)
     except OSError as exc:
         if out_path == "-":  # a closed pipe: the flush at exit must not fail again
             with open(os.devnull, "w") as null:
@@ -171,13 +191,21 @@ def _header(sc: Scenario, command: str) -> list[str]:
 
 
 def _run_spectrum(sc: Scenario, args):
-    table = flux.output_spectrum(grid_array(sc), sc.cavity, source_config(sc), sc.line, sc.env)
+    """Each block of rows is one output_spectrum call, guard bands shifted by the whole grid's step."""
+    grid, cfg = grid_array(sc), source_config(sc)
+    step = grid[1] - grid[0]
     columns = ["omega_over_omega_m", "n_total", "n_dce", "n_thermal", "n_mech_only"]
-    cells = [table.omega / sc.geometry.omega_m, table.n_total, table.n_dce, table.n_thermal, table.n_mech_only]
     if args.command == "decompose":
         columns.append("n_dce_electrical")
-        cells.append(table.n_dce - table.n_mech_only)
-    return [], columns + ["flags"], cells + [table.flags]
+
+    def block(start, stop):
+        table = flux.output_spectrum(grid[start:stop], sc.cavity, cfg, sc.line, sc.env, step)
+        cells = [table.omega / sc.geometry.omega_m, table.n_total, table.n_dce, table.n_thermal, table.n_mech_only]
+        if args.command == "decompose":
+            cells.append(table.n_dce - table.n_mech_only)
+        return cells + [table.flags]
+
+    return [], columns + ["flags"], (len(grid), block)
 
 
 def _run_resonances(sc: Scenario, args):
@@ -194,7 +222,7 @@ def _run_resonances(sc: Scenario, args):
         )
         rows.append([i, root, root / om, residual, peak - root, "" if converged else "peak-refine-failed"])
     columns = ["index", "omega_rad_s", "omega_over_omega_m", "residual", "mode_peak_offset_rad_s", "flags"]
-    return [], columns, list(zip(*rows))
+    return [], columns, _precomputed(list(zip(*rows)))
 
 
 def _sweep_config(sc: Scenario, axis: str, values: list[float], pin: bool):
@@ -265,7 +293,7 @@ def _run_sweep(sc: Scenario, args):
         raise ConfigError("sweep values must be positive and finite")
     rows = [[args.axis, value, 0.5] + cells for value, cells in zip(values, _sweep_cells(sc, args, values))]
     columns = ["axis", "value", "omega_probe_over_omega_m", "n_total", "n_dce", "n_thermal", "n_mech_only", "flags"]
-    return [], columns, list(zip(*rows))
+    return [], columns, _precomputed(list(zip(*rows)))
 
 
 def _run_squeeze(sc: Scenario, args):
@@ -282,7 +310,7 @@ def _run_squeeze(sc: Scenario, args):
     n_analytic = [squeeze.analytic_photon_number(lam, t) for t in times]
     extra = [f"squeeze-rate-rad-s: {lam:.17g}", f"truncation-dim: {args.dim}"]
     columns = ["time_s", "two_lambda_t", "n_analytic", "n_numeric", "norm_defect", "odd_population", "truncation_flag"]
-    return extra, columns, [times, 2.0 * lam * times, n_analytic, n_numeric, norm_defect, odd, truncated]
+    return extra, columns, _precomputed([times, 2.0 * lam * times, n_analytic, n_numeric, norm_defect, odd, truncated])
 
 
 # command name -> (runner, subparser help)
@@ -332,8 +360,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         sc = load_scenario(args.scenario, args.points, args.window_time)
-        extra, columns, cells = _COMMANDS[args.command][0](sc, args)
-        _write_table(args.out, _header(sc, args.command) + extra, columns, cells)
+        extra, columns, table = _COMMANDS[args.command][0](sc, args)
+        _write_table(args.out, _header(sc, args.command) + extra, columns, table)
     except (ConfigError, MemoryError) as exc:  # a --points, --dim or --samples too large to allocate is bad input
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,8 @@ cell not proven by this: NaN, infinities, zeros and cells whose y lies
 within _TIE_MARGIN of a rounding tie.
 
 Every cell of a row is a fixed-width field of a NUL-padded uint8 matrix, and
-one boolean mask drops the pads.
+one boolean mask drops the pads. A text, bool or int column is encoded once
+per distinct cell (the flags column holds two or three), then taken by code.
 """
 
 from __future__ import annotations
@@ -144,12 +145,21 @@ def _text_field(cells: list[bytes], width: int | None = None):
     return data.view(np.uint8).reshape(len(cells), -1).T
 
 
-def block_text(block, formats) -> str:
-    """The CSV rows of one block: block holds one 1-d array per column, formats its '%' cell format."""
-    floats = [i for i, (column, fmt) in enumerate(zip(block, formats)) if fmt == "%.17g" and column.dtype.kind == "f"]
+def _coded_field(cells: list, fmt: str):
+    """_text_field of the cells' fmt text, each distinct cell formatted once and then taken by its code."""
+    codes = {cell: i for i, cell in enumerate(dict.fromkeys(cells))}
+    index = np.fromiter(map(codes.__getitem__, cells), np.intp, len(cells))
+    return _text_field([(fmt % cell).encode() for cell in codes])[:, index]
+
+
+def block_text(block) -> str:
+    """The CSV rows of one block, one sequence per column: str cells as is, bools and ints as digits, floats as %.17g."""
+    strs = [isinstance(column[0], str) for column in block]  # a tuple of str (the flags) is not made an array
+    block = [column if is_str else np.asarray(column) for column, is_str in zip(block, strs)]
+    floats = [i for i, column in enumerate(block) if not strs[i] and column.dtype.kind == "f"]
     fields = [
-        None if i in floats else _text_field([(fmt % v).encode() for v in column.tolist()])
-        for i, (column, fmt) in enumerate(zip(block, formats))
+        None if i in floats else _coded_field(column, "%s") if strs[i] else _coded_field(column.tolist(), "%d")
+        for i, column in enumerate(block)
     ]
     if floats:  # one pass over all float columns
         text = _float_field(np.concatenate([block[i] for i in floats], dtype=float))

@@ -70,12 +70,13 @@ def thermal_occupation(omega, env: ThermalEnv):
     return np.where(x > 700.0, 0.0, 1.0 / np.expm1(np.minimum(x, 700.0)))
 
 
-def _resolve_guard_collisions(grid: np.ndarray, cfg: SourceConfig) -> tuple[np.ndarray, np.ndarray]:
+def _resolve_guard_collisions(grid: np.ndarray, cfg: SourceConfig, step=None) -> tuple[np.ndarray, np.ndarray]:
     # shift points at guard-band edges of scatter.tones outward by one grid step; tag what
     # moved. Each tone shifts from the original point, and a later tone overrides an earlier one.
     flags = np.full(len(grid), "", dtype="<U13")
     guard = guard_band(cfg.window_time)
-    step = grid[1] - grid[0] if len(grid) > 1 else guard
+    if step is None:
+        step = grid[1] - grid[0] if len(grid) > 1 else guard
     out = grid.copy()
     for _, nu, _ in tones(cfg):
         idx = np.flatnonzero(np.abs(grid - nu) < guard)
@@ -96,14 +97,17 @@ def _on_grid(column, live):
 
 
 def output_spectrum(
-    grid, cav: CavityParams, cfg: SourceConfig, line: LineParams, env: ThermalEnv
+    grid, cav: CavityParams, cfg: SourceConfig, line: LineParams, env: ThermalEnv, step=None
 ) -> SpectrumTable:
     """Assemble the output spectrum over a strictly increasing grid in (0, W).
 
     Grid points that collide with a coherent-line guard band are shifted
-    outward by one grid step and flagged "guard-shifted"; points that cannot
-    be moved clear are flagged "guard-band" and are not evaluated: only the
-    live rows are, and the guard-band rows get NaN in every occupation column.
+    outward by step (by default grid[1] - grid[0], or the guard band for one
+    point) and flagged "guard-shifted"; points that cannot be moved clear are
+    flagged "guard-band" and are not evaluated: only the live rows are, and
+    the guard-band rows get NaN in every occupation column. Every row depends
+    only on its own grid point and the step, so a grid evaluated in blocks with
+    the whole grid's step gives the whole grid's bits.
 
     Lanes in cfg or line (a column array in delta_c, v_pp or z0) broadcast
     against the grid. Guard bands come from the tones any lane keeps; away
@@ -119,7 +123,7 @@ def output_spectrum(
         raise ConfigError("grid must be strictly increasing")
     try:  # an overflowing or invalid evaluation is one NumericalError, not numpy warnings
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            omega, flags = _resolve_guard_collisions(w, cfg)
+            omega, flags = _resolve_guard_collisions(w, cfg, step)
             live = flags != "guard-band"
             w = omega[live]
             # |R|^2, |S1|^2, |S2|^2, |h_res|^2 and the delta_c = 0 |h_res|^2

@@ -593,16 +593,17 @@ def cell_by_cell(tmp_path_factory):
 
 @pytest.mark.parametrize(
     "points,block_rows,numpy_rows",
-    [(20_000, 1, None), (20_000, 7, None), (20_000, None, None), (200, None, None), (20_000, 2003, 1)],
+    [(200, 1, None), (200, 7, None), (20_000, None, None), (200, None, None), (20_000, 2003, 1)],
     ids=["1", "7", "default", "200-rows", "numpy-2003"],
 )
 @pytest.mark.parametrize("command", ["spectrum", "decompose"])
 def test_block_boundaries_keep_cell_by_cell_bytes(
     tmp_path, monkeypatch, cell_by_cell, command, points, block_rows, numpy_rows
 ):
-    # 20 000 rows span three default blocks: the first two go through the numpy formatter, the last
-    # one, with the guard rows, through %. 200 rows are one block. numpy-2003 formats every block,
-    # the NaN guard rows too, in numpy
+    # each block is evaluated on its own (one output_spectrum call, with the whole grid's guard
+    # shift step) and formatted, so 1- and 7-row blocks run on 200 rows. 20 000 rows span three
+    # default blocks, all three, the guard rows of the last one too, formatted in numpy; 200 rows
+    # are one block, formatted with %. numpy-2003 formats the 20 000 rows in ten blocks in numpy
     path, expected = cell_by_cell(command, points)
     if block_rows is not None:
         monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
@@ -610,6 +611,19 @@ def test_block_boundaries_keep_cell_by_cell_bytes(
         monkeypatch.setattr(cli, "_NUMPY_ROWS", numpy_rows)
     out = tmp_path / f"{command}.csv"
     assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+
+
+def test_short_last_block_of_a_large_table_is_formatted_in_numpy(tmp_path, monkeypatch, cell_by_cell):
+    # the formatter is chosen per table: the last 3616 rows of 20 000, fewer than _NUMPY_ROWS and
+    # holding the NaN guard rows, go through numpy as the first two blocks do
+    monkeypatch.delattr(os, "fork")  # every block runs in this process, where the calls are seen
+    path, expected = cell_by_cell("spectrum", 20_000)
+    rows, block_text = [], floattext.block_text
+    monkeypatch.setattr(floattext, "block_text", lambda block: rows.append(len(block[0])) or block_text(block))
+    out = tmp_path / "spectrum.csv"
+    assert cli.main(["spectrum", "--scenario", str(path), "--out", str(out)]) == 0
+    assert rows == [8192, 8192, 3616]
     assert out.read_bytes() == expected
 
 
@@ -690,16 +704,17 @@ def _mixed_cells(rows):
 def test_fork_path_keeps_cell_by_cell_bytes(tmp_path, capsys, monkeypatch, forks, rows, forked, target):
     # 4-row blocks: a table of two or more blocks is split between this process and one forked child.
     # The table is written twice: every block through the numpy formatter, then every block through %
+    # (the formatter is chosen per table, by its row count)
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
     cells = _mixed_cells(rows)
     columns = ["x", "positive", "index", "flags", "edge"]
     expected = "# fork path\n" + ",".join(columns) + "\n"
     expected += "".join(",".join(_cell(column[i]) for column in cells) + "\n" for i in range(rows))
     out = tmp_path / "table.csv"
-    for numpy_rows in (1, 5):
+    for numpy_rows in (1, rows + 1):
         monkeypatch.setattr(cli, "_NUMPY_ROWS", numpy_rows)
         capsys.readouterr()
-        cli._write_table("-" if target == "stdout" else str(out), ["fork path"], columns, cells)
+        cli._write_table("-" if target == "stdout" else str(out), ["fork path"], columns, cli._precomputed(cells))
         text = capsys.readouterr().out if target == "stdout" else out.read_bytes().decode()
         assert text == expected, numpy_rows
     assert len(forks) == 2 * forked
@@ -750,6 +765,34 @@ def test_failing_child_formatter_exit_code_2(tmp_path, capsys, monkeypatch, fork
     _assert_reaped(forks)
     assert table.read_bytes() == b"old table\n"
     assert os.listdir(tmp_path) == ["table.csv"]
+
+
+@pytest.mark.parametrize("half", ["child", "parent"])
+@pytest.mark.parametrize("target", ["file", "stdout"])
+def test_numerical_failure_in_one_half_exit_code_3(tmp_path, capsys, monkeypatch, forks, half, target):
+    # the occupations of one process's blocks overflow to inf: one error line counting the rows of
+    # the failing 8-row block, exit 3, and no child left. An existing --out file keeps its bytes, and
+    # no temporary file is left next to it; on stdout the rows already written stay written
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 8)
+    parent, occupation = os.getpid(), flux.thermal_occupation
+
+    def overflows_in_one_half(omega, env):
+        return occupation(omega, env) + (np.inf if (os.getpid() == parent) == (half == "parent") else 0.0)
+
+    monkeypatch.setattr(flux, "thermal_occupation", overflows_in_one_half)
+    table = tmp_path / "table.csv"
+    table.write_bytes(b"old table\n")
+    out = "-" if target == "stdout" else str(table)
+    assert cli.main(["spectrum", "--points", "64", "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: non-finite occupation at 8 rows\n"
+    assert len(forks) == 1
+    _assert_reaped(forks)
+    assert table.read_bytes() == b"old table\n"
+    assert os.listdir(tmp_path) == ["table.csv"]
+    if target == "stdout":  # the header and column lines, then the parent's 32 rows if only the child failed
+        header = len(cli._header(load_scenario("low-q"), "spectrum")) + 1
+        assert len(captured.out.splitlines()) == header + (32 if half == "child" else 0)
 
 
 def test_out_replaces_a_file_and_keeps_its_mode(tmp_path):
@@ -812,7 +855,7 @@ def _writer_peak_bytes(path, rows):
     cells = [rng.standard_normal(rows) for _ in range(6)] + [flags]
     tracemalloc.start()
     try:
-        cli._write_table(str(path), ["writer memory"], [f"c{i}" for i in range(7)], cells)
+        cli._write_table(str(path), ["writer memory"], [f"c{i}" for i in range(7)], cli._precomputed(cells))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -859,7 +902,7 @@ def test_percent_template_matches_cell_rule(x, b, i):
 
 def _numpy_cells(values):
     # the numpy formatter's text of one float column, a cell per line
-    return floattext.block_text([np.asarray(values, dtype=float)], ["%.17g"]).splitlines()
+    return floattext.block_text([np.asarray(values, dtype=float)]).splitlines()
 
 
 def test_numpy_formatter_matches_percent_on_the_float_edges():

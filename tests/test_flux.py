@@ -8,8 +8,10 @@ below the full vacuum term) hold by construction and are asserted near the
 floating-point floor.
 """
 
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from fbar_dce.piezo import DriveParams, FbarGeometry, delta_capacitance
 from fbar_dce.scatter import LineParams, SourceConfig, TimeVaryingCap, guard_band, source_spectrum
 from fbar_dce.scenario import PRESET_NAMES, grid_array, preset_raw, scenario_from_raw, source_config
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 OMEGA_M = TWO_PI * 4.2e9
 DELTA_C = 9.772533550193697e-19
 CAV = CavityParams(
@@ -487,25 +490,44 @@ def test_lane_fields_check_every_entry():
     assert nan_entry.type is ConfigError
 
 
-@pytest.mark.parametrize("preset", PRESET_NAMES)
-def test_evaluation_does_not_depend_on_grid_split(preset):
-    """Contiguous blocks of 1, 7 and 1000 rows, concatenated, give the whole grid's bits.
+def _generated_scenario():
+    # perfbench's grid-100x generated scenario (seed 0) at 20 000 points: its last 300 rows are
+    # guard-band, but for one guard-shifted row
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    raw = workloads.generated_scenario(0)
+    raw["grid"]["points"] = 20_000
+    return scenario_from_raw(raw)
 
-    This pins the evaluation's array shapes, one-row blocks included, for any
-    change that evaluates the spectrum per row block. Guard resolution is not
-    split-invariant: its shift step comes from the grid it is given (split
-    after 9999 rows, perfbench's generated scenario at 20 000 points moves its
-    one guard-shifted row), so such a change must resolve guard bands on the
-    whole grid.
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "guard-heavy", "generated"])
+def test_evaluation_does_not_depend_on_grid_split(name):
+    """Contiguous blocks of 1, 7, 1000 and 9999 rows, concatenated, give the whole grid's bits and flags.
+
+    The command line evaluates a spectrum per row block, so a row must depend
+    only on its own grid point and the guard shift step: this pins the
+    evaluation's array shapes, one-row blocks included, and guard resolution
+    on grids with guard-shifted and guard-band rows. Each block is given the
+    whole grid's step, as the command line gives it; with its own step
+    (grid[1] - grid[0] of the block, the guard band for one row), the
+    generated scenario split after 9999 rows moves its guard-shifted row. On
+    the 20 000-row generated grid the 1- and 7-row blocks start 70 rows before
+    the first guard-band row, the guard-shifted row included; the larger
+    blocks cover every grid.
     """
-    sc = scenario_from_raw(preset_raw(preset))
+    built = {"guard-heavy": _guard_heavy_scenario, "generated": _generated_scenario}
+    sc = built[name]() if name in built else scenario_from_raw(preset_raw(name))
     grid, cfg = grid_array(sc), source_config(sc)
     whole = output_spectrum(grid, sc.cavity, cfg, sc.line, sc.env)
-    for size in (1, 7, 1000):
+    assert ("guard-shifted" in whole.flags) == (name in ("guard-heavy", "generated"))
+    for size in (1, 7, 1000, 9999):
+        start = 0 if size >= 1000 or len(grid) <= 2000 else (whole.flags.index("guard-band") - 70) // size * size
         blocks = [
-            output_spectrum(grid[i : i + size], sc.cavity, cfg, sc.line, sc.env) for i in range(0, len(grid), size)
+            output_spectrum(grid[i : i + size], sc.cavity, cfg, sc.line, sc.env, grid[1] - grid[0])
+            for i in range(start, len(grid), size)
         ]
-        assert sum((block.flags for block in blocks), ()) == whole.flags
-        for name in ("omega", "n_total", "n_dce", "n_thermal", "n_mech_only"):
-            joined = np.concatenate([getattr(block, name) for block in blocks])
-            assert joined.tobytes() == getattr(whole, name).tobytes(), (size, name)
+        assert sum((block.flags for block in blocks), ()) == whole.flags[start:], size
+        for column in ("omega", "n_total", "n_dce", "n_thermal", "n_mech_only"):
+            joined = np.concatenate([getattr(block, column) for block in blocks])
+            assert joined.tobytes() == getattr(whole, column)[start:].tobytes(), (size, column)

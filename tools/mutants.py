@@ -93,6 +93,26 @@ MUTANTS = {
             "tests/test_cli.py::test_block_boundaries_keep_cell_by_cell_bytes",
         ),
     ),
+    # a ConfigError or NumericalError in the child's blocks reaches the parent with its exit code and message
+    "fork-child-error-as-formatter-failure": Mutant(
+        "cli.py",
+        "                code = 2 if isinstance(exc, ConfigError) else 3\n",
+        "                code = 1\n",
+        ("tests/test_cli.py::test_numerical_failure_in_one_half_exit_code_3",),
+    ),
+    # each block of a spectrum shifts its guard rows by the whole grid's step, not by its own
+    "spectrum-block-own-step": Mutant(
+        "cli.py",
+        "sc.cavity, cfg, sc.line, sc.env, step)",
+        "sc.cavity, cfg, sc.line, sc.env)",
+        ("tests/test_cli.py::test_block_boundaries_keep_cell_by_cell_bytes",),
+    ),
+    "guard-block-own-step": Mutant(
+        "flux.py",
+        "    if step is None:\n",
+        "    if True:\n",
+        ("tests/test_flux.py::test_evaluation_does_not_depend_on_grid_split",),
+    ),
     # the parent reaps the child on every path, also when writing its own half fails
     "fork-parent-failure-skips-reap": Mutant(
         "cli.py",
