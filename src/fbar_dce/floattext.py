@@ -3,18 +3,34 @@
 Each positive finite value a = f * 2**q (f in [0.5, 1)) is scaled to its
 17 significant digits y = a * 10**-k, k = E - 16, E being the decimal
 exponent. The factor 2**q * 10**-k comes from a double-double table entry
-for 10**-k built from Python ints (correctly rounded), and f times it is
-formed with Dekker's exact product, so y is known to within ~1.1e-14. The
-decade E is seeded by log10 and corrected by one step where the rounded
-digits show it wrong, so the result does not depend on how the host rounds
-log10. The '%g' layout follows: fixed notation for -4 <= E < 17, d.ddde+XX
-otherwise, trailing zeros stripped. Python's '%.17g' % still writes every
+for 10**-k built from Python ints (correctly rounded, each entry once per
+process), and f times it is formed with Dekker's exact product, so y is
+known to within ~1.1e-14. The decade E is seeded by log10 and corrected by
+one step where the rounded digits show it wrong, so the result does not
+depend on how the host rounds log10. Python's '%.17g' % still writes every
 cell not proven by this: NaN, infinities, zeros and cells whose y lies
 within _TIE_MARGIN of a rounding tie.
 
-Every cell of a row is a fixed-width field of a NUL-padded uint8 matrix, and
-one boolean mask drops the pads. A text, bool or int column is encoded once
-per distinct cell (the flags column holds two or three), then taken by code.
+A cell is a run of whole 8-byte words, NUL-padded, the last byte of its last
+word the separator. A block is built as a (words, rows) uint64 matrix, so that
+each word of a column is one contiguous row, then transposed a thousand
+rows at a time, and bytes.translate drops the NUL pads. A float cell takes
+four words, each a gather from a small table or a few whole-array operations
+on one column, with no pass per digit:
+
+- word 0, right-aligned: the sign, and "0." with up to three zeros for
+  -4 <= E < 0;
+- words 1-3, left-aligned: the 17 digits d with a zero put in at the point's
+  place P (after digit E + 1 for 0 <= E < 17, after the first digit in
+  exponent notation), 10 * d - 9 * (d mod 10**(17 - P)), written four digits
+  at a time from a table of 10**4 4-byte words. That zero becomes the point,
+  and the bytes after the last significant digit (never before the point for
+  E >= 0) become NUL;
+- bytes 2-6 of word 3, right-aligned: "e", the exponent's sign and at least
+  two of its digits.
+
+A text, bool or int column is encoded once per distinct cell (the flags
+column holds two or three), then taken by code.
 """
 
 from __future__ import annotations
@@ -23,23 +39,10 @@ import numpy as np
 
 _TIE_MARGIN = 2.0**-30  # far above the ~1.1e-14 error bound of y
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
-_K_OFFSET = 350  # k = E - 16 lies in [-340, 292]
-_FIELD = 29  # sign, "0.000", 17 digits and a point, "e", exponent sign and 3 exponent digits
-_SLOTS = np.arange(18, dtype=np.int8)[:, None]
-_PLACES = np.arange(1, 18, dtype=np.uint8)[:, None]
-_ZERO, _POINT, _MINUS, _PLUS, _E = (np.uint8(ord(c)) for c in "0.-+e")
-
-
-def _power(k: int) -> tuple[float, float, int]:
-    """(hi, lo, s) with hi + lo = 10**-k * 2**s to ~2**-106 relative and hi in [1, 2)."""
-    num, den = (1, 10**k) if k >= 0 else (10**-k, 1)
-    s = den.bit_length() - num.bit_length()
-    num, den = (num << s, den) if s >= 0 else (num, den << -s)
-    if num < den:
-        num, s = num << 1, s + 1
-    hi = num / den  # int / int is correctly rounded
-    a, b = hi.as_integer_ratio()
-    return hi, (num * b - a * den) / (den * b), s
+_K_OFFSET = 350  # k = E - 16 lies in [-341, 294]
+_E_OFFSET = 330  # the tables by decimal exponent hold E in [-330, 330)
+_WORDS = 4  # words of a float cell
+_DOT = 0x1E  # '0' ^ '.'
 
 
 def _split(x):
@@ -48,24 +51,38 @@ def _split(x):
     return high, x - high
 
 
+# column k + _K_OFFSET: hi, its two Veltkamp halves and lo, with hi + lo = 10**-k * 2**s to ~2**-106 relative and
+# hi in [1, 2), from Python ints (int / int is correctly rounded); and s in _SHIFTS
+_POWERS = np.empty((4, 2 * _K_OFFSET))
+_SHIFTS = np.empty(2 * _K_OFFSET, np.int32)
+for _k in range(-_K_OFFSET, _K_OFFSET):
+    _num, _den = (1, 10**_k) if _k >= 0 else (10**-_k, 1)
+    _s = _den.bit_length() - _num.bit_length()
+    _num, _den = (_num << _s, _den) if _s >= 0 else (_num, _den << -_s)
+    if _num < _den:
+        _num, _s = _num << 1, _s + 1
+    _hi = _num / _den
+    _a, _b = _hi.as_integer_ratio()
+    _POWERS[:, _k + _K_OFFSET] = (_hi, *_split(_hi), (_num * _b - _a * _den) / (_den * _b))
+    _SHIFTS[_k + _K_OFFSET] = _s
+del _k, _num, _den, _s, _hi, _a, _b
+
+
 def _scaled(f, q, e10):
-    """(digits, frac): y = f * 2**q * 10**(16 - e10) = digits + frac, digits the nearest int64, |frac| <= 0.5."""
+    """(digits, frac): y = f * 2**q * 10**(16 - e10) = digits + frac, digits the nearest int64, |frac| <= 0.5.
+
+    y is (f * hi + f * lo) * 2**(q - s): the power of two, in [2**53, 2**58], scales exactly.
+    """
     k = e10 + (_K_OFFSET - 16)
-    present = np.zeros(2 * _K_OFFSET, bool)
-    present[k] = True
-    used = np.flatnonzero(present)
-    table = np.zeros((3, 2 * _K_OFFSET))
-    table[:, used] = np.array([_power(int(i) - _K_OFFSET) for i in used]).T
-    hi, lo, s = table.take(k, axis=1)
-    shift = q - s.astype(np.int32)
-    c, c_lo = np.ldexp(hi, shift), np.ldexp(lo, shift)  # exact: both stay normal
-    p = f * c
+    hi, hh, hl, lo = _POWERS.take(k, axis=1)
+    shift = q - _SHIFTS.take(k)
+    p = f * hi
     fh, fl = _split(f)
-    ch, cl = _split(c)
-    error = ((fh * ch - p) + fh * cl + fl * ch) + fl * cl  # f * c = p + error exactly
-    rest = error + f * c_lo
+    error = ((fh * hh - p) + fh * hl + fl * hh) + fl * hl  # f * hi = p + error exactly
+    rest = np.ldexp(error + f * lo, shift)
     whole = np.rint(rest)
-    return p.astype(np.int64) + whole.astype(np.int64), rest - whole  # p >= 2**53 is an integer
+    # p * 2**shift >= 2**53 is an integer
+    return np.ldexp(p, shift).astype(np.int64) + whole.astype(np.int64), rest - whole
 
 
 def _off_decade(digits, frac):
@@ -77,100 +94,113 @@ def _digits(x):
     """(digits, e10, proven): |x| = digits * 10**(e10 - 16) rounded half to even, 10**16 <= digits < 10**17.
 
     Only the cells where proven is True carry them: NaN, infinities and zeros
-    do not, nor do cells within _TIE_MARGIN of a rounding tie.
+    do not, nor do cells within _TIE_MARGIN of a rounding tie. The others
+    still hold 17 digits and a decade within one of the value's.
     """
     a = np.abs(x)
     proven = np.isfinite(a) & (a > 0)
-    a = np.where(proven, a, 1.0)
+    a[~proven] = 1.0
     f, q = np.frexp(a)
     e10 = np.floor(np.log10(a)).astype(np.int64)
     digits, frac = _scaled(f, q, e10)
     # the seeded decade is wrong where the digits are not 17 long; one step corrects it
     wrong = np.flatnonzero(_off_decade(digits, frac))
-    e10[wrong] += np.where(digits[wrong] > 10**17, 1, -1)
-    digits[wrong], frac[wrong] = _scaled(f[wrong], q[wrong], e10[wrong])
-    proven[wrong[_off_decade(digits[wrong], frac[wrong])]] = False
-    carry = digits == 10**17  # rounded up to the next decade
+    if wrong.size:
+        e10[wrong] += np.where(digits[wrong] > 10**17, 1, -1)
+        digits[wrong], frac[wrong] = _scaled(f[wrong], q[wrong], e10[wrong])
+        off = wrong[_off_decade(digits[wrong], frac[wrong])]
+        proven[off] = False
+        digits[off] = 10**16
+    carry = np.flatnonzero(digits == 10**17)  # rounded up to the next decade
     digits[carry] = 10**16
     e10[carry] += 1
     return digits, e10, proven & (np.abs(frac) < 0.5 - _TIE_MARGIN)
 
 
-def _float_field(x):
-    """(_FIELD, n) uint8: the '%.17g' text of each float64 cell, NUL-padded."""
-    digits, e10, proven = _digits(x)
-    # the 17 digits, most significant first: the top 8 and the low 9 as two 9-digit numbers, divided by 10 together
-    places = np.empty((2, 9, x.size), np.uint8)
-    halves = np.array(np.divmod(digits, 10**9), np.uint32)
-    for i in range(8, -1, -1):
-        tens = halves // 10
-        places[:, i] = halves - 10 * tens
-        halves = tens
-    dig = places.reshape(18, x.size)[1:]  # the top 8 lead with a zero
-    count = np.max((dig != 0) * _PLACES, axis=0)  # significant digits once trailing zeros go
+# tables by E + _E_OFFSET: P (17: no point among the digits), 10**(17 - P), the least length of the digit field,
+# word 0 (then with a minus sign), the exponent's word, and the point's XOR into each of words 1-3
+_EXPONENTS = range(-_E_OFFSET, _E_OFFSET)
+_LEADS = [b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"" for e in _EXPONENTS]
+_POINT = np.array([e + 1 if 0 <= e < 17 else 17 if -4 <= e < 0 else 1 for e in _EXPONENTS])
+_POWER10 = 10 ** (17 - _POINT)
+_LEAST = np.where([bool(lead) for lead in _LEADS], 0, _POINT)
+_PREFIX = np.array([(sign + lead).rjust(8, b"\0") for sign in (b"", b"-") for lead in _LEADS], "S8")
+_SUFFIX = np.array([b"" if -4 <= e < 17 else (b"e%+03d\0" % e).rjust(8, b"\0") for e in _EXPONENTS], "S8")  # bytes 2-6
+_PREFIX, _SUFFIX = _PREFIX.view(np.uint64), _SUFFIX.view(np.uint64)
+_DOTS = np.array([[_DOT << 8 * (p % 8) if p // 8 == w else 0 for p in _POINT.tolist()] for w in range(3)], np.uint64)
+_KEEP = np.array([[(1 << 8 * min(max(n - 8 * w, 0), 8)) - 1 for n in range(19)] for w in range(3)], np.uint64)
+_PAIRS = np.array([b"%02d" % i for i in range(100)]).view(np.uint16).astype(np.uint64)
+_QUADS = (_PAIRS[:, None] | _PAIRS << 16).ravel()  # "%04d" % g as a little-endian word, by g
+_TENS = np.arange(10**4)
+# by group i and g, "%04d" % g being digits 4i to 4i + 3 of the 18: the digits up to its last nonzero one, 0 if none
+_PLACES = (4 - sum(_TENS % 10**i == 0 for i in range(1, 4)) + np.arange(0, 17, 4)[:, None]) * (_TENS != 0)
+_COMMA, _NEWLINE = ord(",") << 56, (ord(",") ^ ord("\n")) << 56  # the separator as the last byte of a word
 
-    fixed = (e10 >= -4) & (e10 < 17)
-    whole = fixed & (e10 >= 0)
-    exp = ~fixed
-    point = np.where(whole, e10, 99 * fixed).astype(np.int8)  # the point follows digit `point`
-    keep = np.where(whole, np.maximum(count, e10 + 1), count).astype(np.int8)
-    point[keep <= point + 1] = 99
-    # numpy's where is slow on bytes: masks select by multiplication
-    kept = np.zeros((19, x.size), np.uint8)  # the digits with a NUL row before and after
-    kept[1:18] = (dig + _ZERO) * (_SLOTS[:17] < keep)
-    magnitude = np.abs(e10).astype(np.uint16)
-    field = np.empty((_FIELD, x.size), np.uint8)
-    field[0] = (x < 0) * _MINUS
-    lead = fixed & (e10 < 0)
-    field[1] = lead * _ZERO
-    field[2] = lead * _POINT
-    for i in range(3):
-        field[3 + i] = (fixed & (e10 <= -2 - i)) * _ZERO
-    field[6:24] = kept[1:] * (_SLOTS <= point) + kept[:18] * (_SLOTS > point + 1) + (_SLOTS == point + 1) * _POINT
-    field[24] = exp * _E
-    field[25] = exp * np.where(e10 < 0, _MINUS, _PLUS)
-    field[26] = (exp & (magnitude >= 100)) * (magnitude // 100 + _ZERO)
-    field[27] = exp * (magnitude // 10 % 10 + _ZERO)
-    field[28] = exp * (magnitude % 10 + _ZERO)
+
+def _float_words(x, words):
+    """Fill words, (_WORDS, n) uint64, with the '%.17g' text of each float64 cell (see the module docstring)."""
+    digits, e10, proven = _digits(x)
+    at = e10 + _E_OFFSET
+    power = _POWER10.take(at)
+    spread = digits + 9 * (digits // power) * power  # 18 digits, a zero at the point's place
+    top = spread // 100  # digits 0-15
+    high = top // 10**8  # digits 0-7
+    mid = top - high * 10**8  # digits 8-15
+    groups = [high // 10**4, 0, mid // 10**4, 0, (spread - top * 100) * 100]  # 4 digits each; digits 16-17, "00"
+    groups[1] = high - groups[0] * 10**4
+    groups[3] = mid - groups[2] * 10**4
+    places = _LEAST.take(at)
+    for i, group in enumerate(groups):
+        np.maximum(places, _PLACES[i].take(group), out=places)
+    quads = [_QUADS.take(group) for group in groups]
+    words[0] = _PREFIX.take(at + np.signbit(x) * (2 * _E_OFFSET))
+    words[1] = quads[0] | quads[1] << 32
+    words[2] = quads[2] | quads[3] << 32
+    words[3] = quads[4]
+    for w in range(3):
+        words[w + 1] ^= _DOTS[w].take(at)
+        words[w + 1] &= _KEEP[w].take(places)
+    words[3] |= _SUFFIX.take(at)
 
     fallback = np.flatnonzero(~proven)
     if fallback.size:
-        field[:, fallback] = _text_field([b"%.17g" % v for v in x[fallback].tolist()], _FIELD)
-    return field
+        cells = np.array([b"%.17g" % v for v in x[fallback].tolist()], "S24").view(np.uint64)
+        words[:3, fallback] = cells.reshape(-1, 3).T
+        words[3, fallback] = 0
 
 
-def _text_field(cells: list[bytes], width: int | None = None):
-    """(width, n) uint8 of the cells' bytes, NUL-padded; width defaults to the longest cell."""
-    data = np.array(cells, dtype=f"S{width}" if width else bytes)
-    return data.view(np.uint8).reshape(len(cells), -1).T
-
-
-def _coded_field(cells: list, fmt: str):
-    """_text_field of the cells' fmt text, each distinct cell formatted once and then taken by its code."""
+def _coded_cells(cells: list, fmt: str):
+    """S array of the cells' fmt text, each distinct cell formatted once and then taken by its code."""
     codes = {cell: i for i, cell in enumerate(dict.fromkeys(cells))}
     index = np.fromiter(map(codes.__getitem__, cells), np.intp, len(cells))
-    return _text_field([(fmt % cell).encode() for cell in codes])[:, index]
+    return np.array([(fmt % cell).encode() for cell in codes]).take(index)
 
 
 def block_text(block) -> str:
     """The CSV rows of one block, one sequence per column: str cells as is, bools and ints as digits, floats as %.17g."""
     strs = [isinstance(column[0], str) for column in block]  # a tuple of str (the flags) is not made an array
     block = [column if is_str else np.asarray(column) for column, is_str in zip(block, strs)]
-    floats = [i for i, column in enumerate(block) if not strs[i] and column.dtype.kind == "f"]
-    fields = [
-        None if i in floats else _coded_field(column, "%s") if strs[i] else _coded_field(column.tolist(), "%d")
-        for i, column in enumerate(block)
-    ]
-    if floats:  # one pass over all float columns
-        text = _float_field(np.concatenate([block[i] for i in floats], dtype=float))
-        for i, field in zip(floats, np.split(text, len(floats), axis=1)):
-            fields[i] = field
-    matrix = np.empty((len(block[0]), sum(len(field) + 1 for field in fields)), np.uint8)
-    col = 0
-    for field in fields:
-        matrix[:, col : col + len(field)] = field.T
-        col += len(field)
-        matrix[:, col] = ord(",")
-        col += 1
-    matrix[:, -1] = ord("\n")
-    return matrix[matrix != 0].tobytes().decode()
+    rows = len(block[0])
+    cells = []  # (words, column): a float column, or the S array of a text, bool or int column
+    for column, is_str in zip(block, strs):
+        if not is_str and column.dtype.kind == "f":
+            cells.append((_WORDS, column.astype(float, copy=False)))
+        else:
+            text = _coded_cells(column, "%s") if is_str else _coded_cells(column.tolist(), "%d")
+            cells.append((text.itemsize // 8 + 1, text))  # room for the separator
+    # one row per word of a cell, so that a column's words are whole rows, then the rows of the CSV
+    words = np.empty((sum(span for span, _ in cells), rows), np.uint64)
+    start = 0
+    for span, column in cells:
+        field = words[start : start + span]
+        if column.dtype.kind == "f":  # a column at a time: the temporaries stay in cache
+            _float_words(column, field)
+        else:
+            field[:] = column.astype(f"S{8 * span}").view(np.uint64).reshape(rows, span).T
+        field[-1] |= _COMMA
+        start += span
+    words[-1] ^= _NEWLINE
+    # a few rows at a time: buffers of this size are reused from block to block, where ones the size of the
+    # block are mapped afresh each time and paid for in page faults
+    step = 1024
+    return "".join(words[:, i : i + step].T.tobytes().translate(None, b"\0").decode() for i in range(0, rows, step))
