@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .brent import find_root
 from .constants import TWO_PI
 from .errors import ConfigError, ConvergenceError, UnderflowError, check_fields, positive_frequencies
 from .scatter import LineParams, SourceConfig, TimeVaryingCap, h_coefficient, s_coefficient
@@ -26,7 +25,7 @@ _MAX_REFINE_ITERATIONS = 200
 _RESIDUAL_RTOL = 1e-9  # on |tan(k*d_eff) - omega_c/omega| relative to omega_c/omega
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class CavityParams:
     """Cavity geometry and coupling.
 
@@ -119,6 +118,7 @@ def cavity_resonances(cav: CavityParams, band: tuple[float, float]) -> list[floa
     gives the same bits (checked by `tests/test_brent.py`), followed by a
     Newton polish.
     """
+    from . import brent
     lo, hi = band
     if not (0.0 < lo < hi):
         raise ConfigError("band must satisfy 0 < lower < upper")
@@ -138,7 +138,7 @@ def cavity_resonances(cav: CavityParams, band: tuple[float, float]) -> list[floa
         if not (ga < 0.0 < gb):  # monotone on the branch: no sign change, no root
             continue
         try:
-            root = find_root(lambda w: _resonance_mismatch(w, cav), a, b, xtol=1e-3, maxiter=_MAX_REFINE_ITERATIONS)
+            root = brent.find_root(lambda w: _resonance_mismatch(w, cav), a, b, 1e-3, _MAX_REFINE_ITERATIONS)
         except ConvergenceError as exc:
             raise ConvergenceError(f"resonance refinement failed in ({a:.6e}, {b:.6e})") from exc
         # Newton polish down to the floating-point floor; the mismatch slope

@@ -24,18 +24,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__, cavity, flux, scatter, squeeze
-from .brent import minimize_bounded
+from . import __version__, cavity, flux, scatter
 from .constants import TWO_PI
 from .errors import MAX_ENTRIES, ConfigError, NumericalError, SimulationError
-from .scenario import (
-    Scenario,
-    grid_array,
-    load_scenario,
-    scenario_hash,
-    source_config,
-    squeeze_params,
-)
+from .scenario import Scenario, grid_array, load_scenario, scenario_hash, source_config, squeeze_params
 
 _SWEEP_AXES = ("v_pp", "q", "z0", "delta_x")
 
@@ -209,6 +201,7 @@ def _run_spectrum(sc: Scenario, args):
 
 
 def _run_resonances(sc: Scenario, args):
+    from . import brent
     om = sc.geometry.omega_m
     band = (sc.grid.omega_min, sc.grid.omega_max)
     roots = cavity.cavity_resonances(sc.cavity, band)
@@ -217,7 +210,7 @@ def _run_resonances(sc: Scenario, args):
         residual = cavity.resonance_residual(root, sc.cavity)
         # offset to the exact resonance: the nearby local maximum of the mode response
         window = 0.005 * root
-        peak, converged = minimize_bounded(
+        peak, converged = brent.minimize_bounded(
             lambda w: -abs(cavity.mode_response(w, sc.cavity)), root - window, root + window, xatol=1.0
         )
         rows.append([i, root, root / om, residual, peak - root, "" if converged else "peak-refine-failed"])
@@ -297,6 +290,7 @@ def _run_sweep(sc: Scenario, args):
 
 
 def _run_squeeze(sc: Scenario, args):
+    from . import squeeze
     if not 2 <= args.samples <= MAX_ENTRIES:
         raise ConfigError(f"--samples must lie in [2, {MAX_ENTRIES}]")
     if not 0.0 < args.t_max <= 2.0:

@@ -35,7 +35,7 @@ from .scatter import LineParams, SourceConfig, guard_band, tones
 _NEGATIVE_ROUNDOFF_FLOOR = -1e-15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class ThermalEnv:
     """Thermal environment of the incoming line."""
 
@@ -46,7 +46,7 @@ class ThermalEnv:
         object.__setattr__(self, "temperature", self.temperature + 0.0)  # -0.0 -> +0.0, so T = 0 gives x = +inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class SpectrumTable:
     """Column-oriented spectrum: one row per grid frequency.
 

@@ -21,7 +21,7 @@ from .errors import ConfigError, ValidityError, check_fields, holds
 CAP_EXPANSION_BOUND = 1.0 / 100.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class MaterialProps:
     """Elastic, piezoelectric and dielectric constants of the film material.
 
@@ -58,7 +58,7 @@ class MaterialProps:
             raise ConfigError("material.permittivity must be at least the vacuum permittivity")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class FbarGeometry:
     """Geometry and quality factor of the film resonator.
 
@@ -85,7 +85,7 @@ class FbarGeometry:
             raise ConfigError("geometry.quality must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class DriveParams:
     """AC voltage drive V(t) = v_pp * cos(omega_d * t + phase).
 
@@ -109,7 +109,7 @@ class DriveParams:
             raise ConfigError("drive.phase must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class MbvdParams:
     """Lumped-element values of the modified Butterworth-Van Dyke (MBVD) equivalent circuit.
 

@@ -39,7 +39,7 @@ from .piezo import DriveParams
 _SQRT_2PI = math.sqrt(TWO_PI)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class TimeVaryingCap:
     """Harmonically modulated capacitance c0 + delta_c*cos(omega_m*t); delta_c may hold lanes."""
 
@@ -53,7 +53,7 @@ class TimeVaryingCap:
             raise ConfigError("cap.delta_c must satisfy 0 <= delta_c < c0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class LineParams:
     """Transmission-line parameters: characteristic impedance and signal speed; z0 may hold lanes."""
 
@@ -69,7 +69,7 @@ class LineParams:
         return 1.0 / (self.v_light * self.z0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class SourceConfig:
     """Drive + modulated capacitance + finite observation window."""
 

@@ -22,7 +22,6 @@ from .errors import MAX_ENTRIES, ConfigError
 from .flux import ThermalEnv
 from .piezo import DriveParams, FbarGeometry, MaterialProps, MbvdParams, delta_capacitance, driven_amplitude
 from .scatter import LineParams, SourceConfig, TimeVaryingCap, effective_length
-from .squeeze import LcParams
 
 # {section: {raw key: constructor field}}; keys ending in _hz are converted to
 # rad/s on load, and cavity.z0_ohm is only checked against line.z0_ohm
@@ -116,7 +115,7 @@ def preset_raw(name: str) -> dict:
     raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class GridSpec:
     """Strictly increasing evaluation grid inside (0, omega_m), angular units."""
 
@@ -125,7 +124,7 @@ class GridSpec:
     points: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class Scenario:
     """Validated parameter set; `raw` preserves the exact ingested mapping."""
 
@@ -273,7 +272,7 @@ def grid_array(sc: Scenario) -> np.ndarray:
     return np.linspace(sc.grid.omega_min, sc.grid.omega_max, sc.grid.points)
 
 
-def squeeze_params(sc: Scenario) -> LcParams:
+def squeeze_params(sc: Scenario) -> squeeze.LcParams:
     """Lumped parametric model matched to the scenario.
 
     The LC mode is tuned to half the modulation frequency (two-photon
@@ -281,10 +280,11 @@ def squeeze_params(sc: Scenario) -> LcParams:
     capacitance, the gap equal to the film thickness, and the mirror swing
     equal to the scenario's driven amplitude.
     """
+    from . import squeeze
     omega_lc = sc.geometry.omega_m / 2.0
     cap_total = 2.0 * sc.mbvd.c_plate
     inductance = 1.0 / (omega_lc**2 * cap_total)
-    return LcParams(
+    return squeeze.LcParams(
         inductance=inductance,
         cap_cavity=sc.mbvd.c_plate,
         cap_mirror=sc.mbvd.c_plate,

@@ -19,7 +19,7 @@ RK4_STEP_BOUND = 5e-4  # dimensionless step 2*lambda*h per integrator step
 TRUNCATION_POPULATION_BOUND = 1e-8  # top-two-level population above which truncation is flagged
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class LcParams:
     """Lumped LC mode with a mechanically modulated mirror capacitance.
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fbar_dce
-from fbar_dce import __version__, cavity, cli, floattext, flux
+from fbar_dce import __version__, brent, cavity, cli, floattext, flux
 from fbar_dce.cavity import cavity_resonances
 from fbar_dce.constants import TWO_PI
 from fbar_dce.flux import ThermalEnv, thermal_occupation
@@ -428,7 +428,7 @@ def test_resonances_exhausted_refinement_exits_3(tmp_path, monkeypatch):
 
 
 def test_resonances_flags_unconverged_peak_refinement(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "minimize_bounded", functools.partial(cli.minimize_bounded, maxfun=2))
+    monkeypatch.setattr(brent, "minimize_bounded", functools.partial(brent.minimize_bounded, maxfun=2))
     out = tmp_path / "res.csv"
     assert cli.main(["resonances", "--out", str(out)]) == 0
     _, _, rows = _read_table(out)
@@ -909,6 +909,48 @@ def test_numpy_formatter_matches_percent_on_the_float_edges():
     assert _numpy_cells(_FLOAT_EDGES) == ["%.17g" % x for x in _FLOAT_EDGES]
 
 
+def test_numpy_formatter_writes_a_block_of_fallback_cells():
+    # no cell of the block is proven, so Python writes every float cell over the whole word layout
+    values = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0] * 3
+    assert _numpy_cells(values) == ["%.17g" % x for x in values]
+
+
+@pytest.mark.parametrize("value", [1.0, -2.5e-300, 0.00012181719550879144, math.nan, 12345678901234567.0])
+def test_numpy_formatter_writes_a_one_row_block(value):
+    cells = [np.array([value]), np.array([True]), np.array([-7]), ("guard-band",), np.array([-value])]
+    assert floattext.block_text(cells) == ",".join(_cell(column[0]) for column in cells) + "\n"
+
+
+def _significant(text):
+    # the significant digits of a '%.17g' text: integer zeros before the point count only after a nonzero digit
+    return len(text.split("e")[0].lstrip("-").replace(".", "").strip("0"))
+
+
+def _decade_sweep():
+    """Doubles whose '%.17g' text has k significant digits, for k in 1..17 at every decade from 1e-7 to 1e21, both
+    signs, where the decade has one: the double nearest a k-digit decimal prints as it about half the time."""
+    rng = np.random.default_rng(29)
+    values = []
+    for e10 in range(-7, 22):
+        for k in range(1, 18):
+            for m in range(1, 10) if k == 1 else rng.integers(10 ** (k - 1), 10**k, 60).tolist():
+                x = float(f"{m}e{e10 - k + 1}")
+                if m % 10 and _significant("%.17g" % x) == k:
+                    values += [x, -x]
+                    break
+    return values
+
+
+def test_numpy_formatter_matches_percent_at_every_decade_and_length():
+    # exponent notation below 1e-4, fixed up to 1e17 (the point after digit E + 1, integer zeros kept), exponent
+    # notation again above: every notation at every count of significant digits, and both signs
+    values = _decade_sweep()
+    expected = ["%.17g" % x for x in values]
+    widths = {("e" in text, text.startswith("-"), _significant(text)) for text in expected}
+    assert widths == {(form, sign, k) for form in (False, True) for sign in (False, True) for k in range(1, 18)}
+    assert _numpy_cells(values) == expected
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=64))
 def test_numpy_formatter_matches_percent_cell_by_cell(patterns):
@@ -967,6 +1009,7 @@ for name, argv in json.loads(sys.argv[2]).items():
         "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules),
         "numpy_ma": "numpy.ma" in sys.modules,
         "floattext": "fbar_dce.floattext" in sys.modules,
+        "modules": sorted(m for m in sys.modules if m.startswith("fbar_dce.")),
     }
 threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 print(json.dumps({"runs": runs, "threads": threads, "setting": os.environ.get("OPENBLAS_NUM_THREADS")}))
@@ -977,9 +1020,10 @@ def _run_fresh(out_dir, argvs, blas_threads=None):
     """Run each named argv through cli.main, in order, in one fresh interpreter, whose modules and threads are its own.
 
     The interpreter sees OPENBLAS_NUM_THREADS=blas_threads, or no such variable for None. Its report:
-    "runs" maps each name to the exit code, the sha256 of the table and whether a scipy module,
-    numpy.ma and the numpy float formatter are loaded afterwards; "threads" is the OS thread count at
-    its end (None where /proc/self/task is missing) and "setting" the OPENBLAS_NUM_THREADS it saw.
+    "runs" maps each name to the exit code, the sha256 of the table, whether a scipy module, numpy.ma
+    and the numpy float formatter are loaded afterwards, and the fbar_dce modules loaded by then;
+    "threads" is the OS thread count at its end (None where /proc/self/task is missing) and "setting"
+    the OPENBLAS_NUM_THREADS it saw.
     """
     env = _package_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
@@ -1030,6 +1074,15 @@ def test_no_command_loads_numpy_ma(default_run, two_thread_run):
     # numpy.ma costs 13-15 ms to import and no command needs it (a first np.unique call would load it)
     runs = [*default_run["runs"].items(), *two_thread_run["runs"].items()]
     assert [name for name, run in runs if run["numpy_ma"]] == []
+
+
+def test_only_the_commands_that_run_them_load_squeeze_and_brent(default_run):
+    # spectrum, decompose and sweep run first, and a module stays loaded: none of them loads either module
+    runs = default_run["runs"]
+    loaded = {name: {"fbar_dce.squeeze", "fbar_dce.brent"} & set(runs[name]["modules"]) for name in _SCIPY_CHECKS}
+    assert list(_SCIPY_CHECKS)[:3] == ["spectrum", "decompose", "sweep"]
+    assert loaded["spectrum"] == loaded["decompose"] == loaded["sweep"] == set()
+    assert "fbar_dce.squeeze" in loaded["squeeze"] and "fbar_dce.brent" in loaded["resonances"]
 
 
 def test_only_large_blocks_load_the_numpy_formatter(default_run, two_thread_run):

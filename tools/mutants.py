@@ -144,6 +144,27 @@ MUTANTS = {
         "_TIE_MARGIN = 0.0",
         ("tests/test_cli.py::test_cells_near_a_rounding_tie_are_written_by_python",),
     ),
+    # numpy formatter: in fixed notation from 1 up the digit field keeps the integer digits, zeros too
+    "layout-integer-zeros-dropped": Mutant(
+        "floattext.py",
+        "0, _POINT)",
+        "0, 1)",
+        ("tests/test_cli.py::test_numpy_formatter_matches_percent_at_every_decade_and_length",),
+    ),
+    # numpy formatter: a cell written by Python takes all four words, so no exponent of its own is left behind
+    "fallback-keeps-exponent-word": Mutant(
+        "floattext.py",
+        "        words[3, fallback] = 0\n",
+        "",
+        ("tests/test_cli.py::test_cells_near_a_rounding_tie_are_written_by_python",),
+    ),
+    # squeeze and brent are imported by the commands that run them, not by every command
+    "eager-squeeze-import": Mutant(
+        "cli.py",
+        "from . import __version__, cavity, flux, scatter\n",
+        "from . import __version__, cavity, flux, scatter, squeeze\n",
+        ("tests/test_cli.py::test_only_the_commands_that_run_them_load_squeeze_and_brent",),
+    ),
     # the lower sideband takes the conjugated self-frequency response
     "dressing-drop-conj-in-s2": Mutant(
         "cavity.py",
