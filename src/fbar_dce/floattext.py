@@ -51,21 +51,21 @@ def _split(x):
     return high, x - high
 
 
-# column k + _K_OFFSET: hi, its two Veltkamp halves and lo, with hi + lo = 10**-k * 2**s to ~2**-106 relative and
-# hi in [1, 2), from Python ints (int / int is correctly rounded); and s in _SHIFTS
-_POWERS = np.empty((4, 2 * _K_OFFSET))
-_SHIFTS = np.empty(2 * _K_OFFSET, np.int32)
-for _k in range(-_K_OFFSET, _K_OFFSET):
-    _num, _den = (1, 10**_k) if _k >= 0 else (10**-_k, 1)
-    _s = _den.bit_length() - _num.bit_length()
-    _num, _den = (_num << _s, _den) if _s >= 0 else (_num, _den << -_s)
-    if _num < _den:
-        _num, _s = _num << 1, _s + 1
-    _hi = _num / _den
-    _a, _b = _hi.as_integer_ratio()
-    _POWERS[:, _k + _K_OFFSET] = (_hi, *_split(_hi), (_num * _b - _a * _den) / (_den * _b))
-    _SHIFTS[_k + _K_OFFSET] = _s
-del _k, _num, _den, _s, _hi, _a, _b
+# column k + _K_OFFSET: hi, its two Veltkamp halves, lo and s, with hi + lo = 10**-k * 2**s to ~2**-106 relative and
+# hi in [1, 2), from Python ints (int / int is correctly rounded): hi is 2**s / 10**k rounded for k >= 0, else
+# 10**-k / 2**-s
+_POWERS = np.array(
+    [
+        (hi, *_split(hi), (num * b - a * den) / (den * b), s)
+        for k in range(-_K_OFFSET, _K_OFFSET)
+        for ten in [10 ** abs(k)]
+        for s in [(ten - 1).bit_length() if k >= 0 else 1 - ten.bit_length()]
+        for num, den in [(1 << s, ten) if k >= 0 else (ten, 1 << -s)]
+        for hi in [num / den]
+        for a, b in [hi.as_integer_ratio()]
+    ]
+).T
+_SHIFTS = _POWERS[4].astype(np.int32)
 
 
 def _scaled(f, q, e10):
@@ -74,7 +74,7 @@ def _scaled(f, q, e10):
     y is (f * hi + f * lo) * 2**(q - s): the power of two, in [2**53, 2**58], scales exactly.
     """
     k = e10 + (_K_OFFSET - 16)
-    hi, hh, hl, lo = _POWERS.take(k, axis=1)
+    hi, hh, hl, lo = _POWERS[:4].take(k, axis=1)
     shift = q - _SHIFTS.take(k)
     p = f * hi
     fh, fl = _split(f)
