@@ -34,7 +34,7 @@ _SWEEP_AXES = ("v_pp", "q", "z0", "delta_x")
 
 _BLOCK_ROWS = 8192
 # a table of fewer rows is formatted with %: below ~2000 rows the numpy formatter's import and set-up
-# (2-4 ms) cost more than it saves, and the default 2000-point grid stays clear of that cost
+# (7-10 ms, mostly its tables) cost more than it saves, and the default 2000-point grid stays clear of that cost
 _NUMPY_ROWS = 4096
 # by dtype kind: text as is, bools 1/0, ints as digits, anything else as a float with 17 significant digits
 _CELL_FORMAT = {"U": "%s", "b": "%d", "i": "%d", "u": "%d"}

@@ -52,8 +52,7 @@ def _split(x):
 
 
 # column k + _K_OFFSET: hi, its two Veltkamp halves, lo and s, with hi + lo = 10**-k * 2**s to ~2**-106 relative and
-# hi in [1, 2), from Python ints (int / int is correctly rounded): hi is 2**s / 10**k rounded for k >= 0, else
-# 10**-k / 2**-s
+# hi in [1, 2), from Python ints: hi is 2**s / 10**k (k >= 0) or 10**-k / 2**-s, and int / int is correctly rounded
 _POWERS = np.array(
     [
         (hi, *_split(hi), (num * b - a * den) / (den * b), s)
@@ -118,14 +117,15 @@ def _digits(x):
 
 
 # tables by E + _E_OFFSET: P (17: no point among the digits), 10**(17 - P), the least length of the digit field,
-# word 0 (then with a minus sign), the exponent's word, and the point's XOR into each of words 1-3
+# word 0 (then with a minus sign), the exponent's word (its last byte left for the separator), and the point's XOR
+# into each of words 1-3
 _EXPONENTS = range(-_E_OFFSET, _E_OFFSET)
 _LEADS = [b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"" for e in _EXPONENTS]
 _POINT = np.array([e + 1 if 0 <= e < 17 else 17 if -4 <= e < 0 else 1 for e in _EXPONENTS])
 _POWER10 = 10 ** (17 - _POINT)
 _LEAST = np.where([bool(lead) for lead in _LEADS], 0, _POINT)
 _PREFIX = np.array([(sign + lead).rjust(8, b"\0") for sign in (b"", b"-") for lead in _LEADS], "S8")
-_SUFFIX = np.array([b"" if -4 <= e < 17 else (b"e%+03d\0" % e).rjust(8, b"\0") for e in _EXPONENTS], "S8")  # bytes 2-6
+_SUFFIX = np.array([b"" if -4 <= e < 17 else (b"e%+03d\0" % e).rjust(8, b"\0") for e in _EXPONENTS], "S8")
 _PREFIX, _SUFFIX = _PREFIX.view(np.uint64), _SUFFIX.view(np.uint64)
 _DOTS = np.array([[_DOT << 8 * (p % 8) if p // 8 == w else 0 for p in _POINT.tolist()] for w in range(3)], np.uint64)
 _KEEP = np.array([[(1 << 8 * min(max(n - 8 * w, 0), 8)) - 1 for n in range(19)] for w in range(3)], np.uint64)
@@ -134,7 +134,7 @@ _QUADS = (_PAIRS[:, None] | _PAIRS << 16).ravel()  # "%04d" % g as a little-endi
 _TENS = np.arange(10**4)
 # by group i and g, "%04d" % g being digits 4i to 4i + 3 of the 18: the digits up to its last nonzero one, 0 if none
 _PLACES = (4 - sum(_TENS % 10**i == 0 for i in range(1, 4)) + np.arange(0, 17, 4)[:, None]) * (_TENS != 0)
-_COMMA, _NEWLINE = ord(",") << 56, (ord(",") ^ ord("\n")) << 56  # the separator as the last byte of a word
+_COMMA, _NEWLINE = ord(",") << 56, (ord(",") ^ ord("\n")) << 56  # "," as a word's last byte; the XOR to "\n"
 
 
 def _float_words(x, words):
