@@ -3,20 +3,20 @@
 Each positive finite value a = f * 2**q (f in [0.5, 1)) is scaled to its
 17 significant digits y = a * 10**-k, k = E - 16, E being the decimal
 exponent. The factor 2**q * 10**-k comes from a double-double table entry
-for 10**-k built from Python ints (correctly rounded, each entry once per
-process), and f times it is formed with Dekker's exact product, so y is
+for 10**-k built from Python ints (correctly rounded; the table is built on
+import), and f times it is formed with Dekker's exact product, so y is
 known to within ~1.1e-14. The decade E is seeded by log10 and corrected by
 one step where the rounded digits show it wrong, so the result does not
 depend on how the host rounds log10. Python's '%.17g' % still writes every
 cell not proven by this: NaN, infinities, zeros and cells whose y lies
 within _TIE_MARGIN of a rounding tie.
 
-A cell is a run of whole 8-byte words, NUL-padded, the last byte of its last
-word the separator. A block is built as a (words, rows) uint64 matrix, so that
-each word of a column is one contiguous row, then transposed a thousand
-rows at a time, and bytes.translate drops the NUL pads. A float cell takes
-four words, each a gather from a small table or a few whole-array operations
-on one column, with no pass per digit:
+A cell is a run of whole 8-byte little-endian words, NUL-padded, the last
+byte of its last word the separator. A block is built as a (words, rows)
+uint64 matrix, so that each word of a column is one contiguous row, then
+transposed a thousand rows at a time, and bytes.translate drops the NUL pads.
+A float cell takes four words, each a gather from a small table or a few
+whole-array operations on one column, with no pass per digit:
 
 - word 0, right-aligned: the sign, and "0." with up to three zeros for
   -4 <= E < 0;
@@ -126,10 +126,10 @@ _POWER10 = 10 ** (17 - _POINT)
 _LEAST = np.where([bool(lead) for lead in _LEADS], 0, _POINT)
 _PREFIX = np.array([(sign + lead).rjust(8, b"\0") for sign in (b"", b"-") for lead in _LEADS], "S8")
 _SUFFIX = np.array([b"" if -4 <= e < 17 else (b"e%+03d\0" % e).rjust(8, b"\0") for e in _EXPONENTS], "S8")
-_PREFIX, _SUFFIX = _PREFIX.view(np.uint64), _SUFFIX.view(np.uint64)
+_PREFIX, _SUFFIX = _PREFIX.view("<u8").astype(np.uint64), _SUFFIX.view("<u8").astype(np.uint64)
 _DOTS = np.array([[_DOT << 8 * (p % 8) if p // 8 == w else 0 for p in _POINT.tolist()] for w in range(3)], np.uint64)
 _KEEP = np.array([[(1 << 8 * min(max(n - 8 * w, 0), 8)) - 1 for n in range(19)] for w in range(3)], np.uint64)
-_PAIRS = np.array([b"%02d" % i for i in range(100)]).view(np.uint16).astype(np.uint64)
+_PAIRS = np.array([b"%02d" % i for i in range(100)]).view("<u2").astype(np.uint64)
 _QUADS = (_PAIRS[:, None] | _PAIRS << 16).ravel()  # "%04d" % g as a little-endian word, by g
 _TENS = np.arange(10**4)
 # by group i and g, "%04d" % g being digits 4i to 4i + 3 of the 18: the digits up to its last nonzero one, 0 if none
@@ -164,7 +164,7 @@ def _float_words(x, words):
 
     fallback = np.flatnonzero(~proven)
     if fallback.size:
-        cells = np.array([b"%.17g" % v for v in x[fallback].tolist()], "S24").view(np.uint64)
+        cells = np.array([b"%.17g" % v for v in x[fallback].tolist()], "S24").view("<u8")
         words[:3, fallback] = cells.reshape(-1, 3).T
         words[3, fallback] = 0
 
@@ -189,14 +189,14 @@ def block_text(block) -> str:
             text = _coded_cells(column, "%s") if is_str else _coded_cells(column.tolist(), "%d")
             cells.append((text.itemsize // 8 + 1, text))  # room for the separator
     # one row per word of a cell, so that a column's words are whole rows, then the rows of the CSV
-    words = np.empty((sum(span for span, _ in cells), rows), np.uint64)
+    words = np.empty((sum(span for span, _ in cells), rows), "<u8")
     start = 0
     for span, column in cells:
         field = words[start : start + span]
         if column.dtype.kind == "f":  # a column at a time: the temporaries stay in cache
             _float_words(column, field)
         else:
-            field[:] = column.astype(f"S{8 * span}").view(np.uint64).reshape(rows, span).T
+            field[:] = column.astype(f"S{8 * span}").view("<u8").reshape(rows, span).T
         field[-1] |= _COMMA
         start += span
     words[-1] ^= _NEWLINE
