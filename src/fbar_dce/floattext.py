@@ -128,6 +128,7 @@ _PREFIX = np.array([(sign + lead).rjust(8, b"\0") for sign in (b"", b"-") for le
 _SUFFIX = np.array([b"" if -4 <= e < 17 else (b"e%+03d\0" % e).rjust(8, b"\0") for e in _EXPONENTS], "S8")
 _PREFIX, _SUFFIX = _PREFIX.view("<u8").astype(np.uint64), _SUFFIX.view("<u8").astype(np.uint64)
 _DOTS = np.array([[_DOT << 8 * (p % 8) if p // 8 == w else 0 for p in _POINT.tolist()] for w in range(3)], np.uint64)
+# by n: the mask of each of words 1-3 that keeps the first n bytes of the digit field
 _KEEP = np.array([[(1 << 8 * min(max(n - 8 * w, 0), 8)) - 1 for n in range(19)] for w in range(3)], np.uint64)
 _PAIRS = np.array([b"%02d" % i for i in range(100)]).view("<u2").astype(np.uint64)
 _QUADS = (_PAIRS[:, None] | _PAIRS << 16).ravel()  # "%04d" % g as a little-endian word, by g
