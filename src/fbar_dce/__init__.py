@@ -3,7 +3,7 @@ voltage-driven piezoelectric film resonator terminating a superconducting cavity
 
 Modules
 -------
-piezo     film resonator: parameter types incl. the MBVD circuit, motional amplitude, capacitance modulation
+piezo     film resonator: material, geometry and drive types, motional amplitude, capacitance modulation
 scatter   single-mirror scattering: time-varying capacitance, source spectrum, bare coefficients
 cavity    cavity dressing: reflection, mode response, resonances
 brent     numpy-only ports of SciPy's Brent root finder and bounded minimizer

@@ -3,8 +3,9 @@
 A resonant AC voltage across the film produces a resonantly enhanced
 motional amplitude and, through the moving electrode, a modulation of the
 plate capacitance. The film resonator's parameter types live here: material,
-geometry, drive and the lumped elements of its equivalent circuit. All
-operations are pure functions of their inputs.
+geometry and drive. Of its equivalent circuit only the static plate
+capacitance enters a command, as the float `Scenario.c_plate`. All operations
+are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EPS0
 from .errors import ConfigError, ValidityError, check_fields, holds
 
 # Fractional displacement bound below which the first-order expansion of the
@@ -23,7 +23,7 @@ CAP_EXPANSION_BOUND = 1.0 / 100.0
 
 @dataclass(frozen=True, repr=False, eq=False)
 class MaterialProps:
-    """Elastic, piezoelectric and dielectric constants of the film material.
+    """Elastic and piezoelectric constants of the film material.
 
     Parameters
     ----------
@@ -33,29 +33,14 @@ class MaterialProps:
         Mass density [kg/m^3].
     d33 : float
         Longitudinal piezoelectric coefficient [m/V].
-    poisson : float
-        Poisson ratio, in (0, 0.5).
-    sound_speed : float
-        Longitudinal sound speed in the film [m/s].
-    permittivity : float
-        Absolute permittivity [F/m]; at least the vacuum value.
     """
 
     youngs_modulus: float
     density: float
     d33: float
-    poisson: float
-    sound_speed: float
-    permittivity: float
 
     def __post_init__(self):
-        check_fields(
-            self, "material", positive=("youngs_modulus", "density", "d33", "poisson", "sound_speed", "permittivity")
-        )
-        if not 0.0 < self.poisson < 0.5:
-            raise ConfigError("material.poisson must lie in (0, 0.5)")
-        if not self.permittivity >= EPS0:
-            raise ConfigError("material.permittivity must be at least the vacuum permittivity")
+        check_fields(self, "material", positive=("youngs_modulus", "density", "d33"))
 
 
 @dataclass(frozen=True, repr=False, eq=False)
@@ -66,8 +51,6 @@ class FbarGeometry:
     ----------
     t_piezo : float
         Film thickness [m].
-    area : float
-        Electrode area [m^2].
     quality : float
         Mechanical quality factor (>= 1); may hold an array of lanes, each entry >= 1.
     omega_m : float
@@ -75,12 +58,11 @@ class FbarGeometry:
     """
 
     t_piezo: float
-    area: float
     quality: float
     omega_m: float
 
     def __post_init__(self):
-        check_fields(self, "geometry", positive=("t_piezo", "area", "omega_m"))
+        check_fields(self, "geometry", positive=("t_piezo", "omega_m"))
         if not holds(self.quality >= 1.0):
             raise ConfigError("geometry.quality must be >= 1")
 
@@ -107,43 +89,6 @@ class DriveParams:
         check_fields(self, "drive", positive=("omega_d",), non_negative=("v_pp",))
         if not np.isfinite(self.phase):
             raise ConfigError("drive.phase must be finite")
-
-
-@dataclass(frozen=True, repr=False, eq=False)
-class MbvdParams:
-    """Lumped-element values of the modified Butterworth-Van Dyke (MBVD) equivalent circuit.
-
-    Six lumped elements: a motional branch (r_m, l_m, c_m in series) in
-    parallel with a lossy plate branch (r_0 in series with c_plate), plus an
-    electrode series resistance r_s that is carried in the parameter set but
-    excluded from the two-branch reduction. The commands read only c_plate.
-
-    Parameters
-    ----------
-    c_m : float
-        Motional capacitance [F].
-    l_m : float
-        Motional inductance [H].
-    r_m : float
-        Motional (acoustic-loss) resistance [Ohm].
-    r_0 : float
-        Dielectric-loss resistance in the plate branch [Ohm].
-    r_s : float
-        Electrode series resistance [Ohm]; informational, not part of the
-        two-branch parallel reduction.
-    c_plate : float
-        Static plate capacitance [F].
-    """
-
-    c_m: float
-    l_m: float
-    r_m: float
-    r_0: float
-    r_s: float
-    c_plate: float
-
-    def __post_init__(self):
-        check_fields(self, "mbvd", positive=("c_m", "l_m", "c_plate"), non_negative=("r_m", "r_0", "r_s"))
 
 
 def driven_amplitude(mat: MaterialProps, geo: FbarGeometry, drv: DriveParams) -> float:
@@ -175,26 +120,23 @@ def driven_amplitude(mat: MaterialProps, geo: FbarGeometry, drv: DriveParams) ->
     )
 
 
-def delta_capacitance(
-    mat: MaterialProps, geo: FbarGeometry, delta_x: float, c0: float | None = None
-) -> tuple[float, float]:
-    """Plate capacitance and its modulation amplitude for a film moving by delta_x.
+def delta_capacitance(geo: FbarGeometry, delta_x: float, c0: float) -> float:
+    """Modulation amplitude of the plate capacitance c0 for a film moving by delta_x.
 
     Parameters
     ----------
-    mat, geo : MaterialProps, FbarGeometry
+    geo : FbarGeometry
     delta_x : float or ndarray
         Motional amplitude [m]; must satisfy 0 <= delta_x < t_piezo / 100 so
         that the first-order expansion C0 * (1 + delta_x/t) is valid. An array
         of lanes must satisfy it in every entry, and delta_c then has its shape.
-    c0 : float, optional
-        Measured plate capacitance [F]. When omitted it is computed from the
-        parallel-plate formula permittivity * area / t_piezo.
+    c0 : float
+        Static plate capacitance [F].
 
     Returns
     -------
-    (c0, delta_c) : tuple of float
-        Static capacitance and modulation amplitude delta_c = c0 * delta_x / t [F].
+    float or ndarray
+        Modulation amplitude delta_c = c0 * delta_x / t [F].
     """
     if not holds(delta_x >= 0.0):
         raise ConfigError("delta_x must be non-negative")
@@ -203,6 +145,4 @@ def delta_capacitance(
             f"delta_x = {np.max(delta_x):.3e} m exceeds t_piezo/100 = "
             f"{geo.t_piezo * CAP_EXPANSION_BOUND:.3e} m; first-order capacitance expansion invalid"
         )
-    if c0 is None:
-        c0 = mat.permittivity * geo.area / geo.t_piezo
-    return c0, c0 * delta_x / geo.t_piezo
+    return c0 * delta_x / geo.t_piezo

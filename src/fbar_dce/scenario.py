@@ -11,6 +11,7 @@ import copy
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,28 +21,30 @@ from .cavity import CavityParams
 from .constants import EPS0, TWO_PI
 from .errors import MAX_ENTRIES, ConfigError
 from .flux import ThermalEnv
-from .piezo import DriveParams, FbarGeometry, MaterialProps, MbvdParams, delta_capacitance, driven_amplitude
+from .piezo import DriveParams, FbarGeometry, MaterialProps, delta_capacitance, driven_amplitude
 from .scatter import LineParams, SourceConfig, TimeVaryingCap, effective_length
 
 # {section: {raw key: constructor field}}; keys ending in _hz are converted to
-# rad/s on load, and cavity.z0_ohm is only checked against line.z0_ohm
+# rad/s on load. The mbvd section fills Scenario itself. A key mapped to None is
+# checked, and hashed with the raw mapping, but no command reads it:
+# cavity.z0_ohm is checked against line.z0_ohm, and the rest against _BOUNDS.
 _NUMBER_SCHEMA: dict[str, dict[str, str | None]] = {
     "material": {
         "youngs_modulus_pa": "youngs_modulus",
         "density_kg_m3": "density",
         "d33_m_per_v": "d33",
-        "poisson_ratio": "poisson",
-        "sound_speed_m_s": "sound_speed",
-        "permittivity_f_m": "permittivity",
+        "poisson_ratio": None,
+        "sound_speed_m_s": None,
+        "permittivity_f_m": None,
     },
-    "geometry": {"t_piezo_m": "t_piezo", "area_m2": "area", "quality": "quality", "omega_m_hz": "omega_m"},
+    "geometry": {"t_piezo_m": "t_piezo", "area_m2": None, "quality": "quality", "omega_m_hz": "omega_m"},
     "drive": {"v_pp_volts": "v_pp", "phase_rad": "phase", "omega_d_hz": "omega_d"},
     "mbvd": {
-        "c_m_farad": "c_m",
-        "l_m_henry": "l_m",
-        "r_m_ohm": "r_m",
-        "r_0_ohm": "r_0",
-        "r_s_ohm": "r_s",
+        "c_m_farad": None,
+        "l_m_henry": None,
+        "r_m_ohm": None,
+        "r_0_ohm": None,
+        "r_s_ohm": None,
         "c_plate_farad": "c_plate",
     },
     "cavity": {
@@ -54,6 +57,26 @@ _NUMBER_SCHEMA: dict[str, dict[str, str | None]] = {
     "environment": {"temperature_k": "temperature"},
     "grid": {"omega_min_hz": "omega_min", "omega_max_hz": "omega_max", "points": "points"},
 }
+
+_POSITIVE = (operator.gt, 0.0, "must be strictly positive")
+_NON_NEGATIVE = (operator.ge, 0.0, "must be non-negative")
+# (section, raw key, name in the message, (compare, bound, message)) for the
+# numbers that no class checks, in the order they are checked: a number is
+# accepted when compare(number, bound) holds
+_BOUNDS = (
+    ("material", "poisson_ratio", "poisson", _POSITIVE),
+    ("material", "sound_speed_m_s", "sound_speed", _POSITIVE),
+    ("material", "permittivity_f_m", "permittivity", _POSITIVE),
+    ("material", "poisson_ratio", "poisson", (operator.lt, 0.5, "must lie in (0, 0.5)")),
+    ("material", "permittivity_f_m", "permittivity", (operator.ge, EPS0, "must be at least the vacuum permittivity")),
+    ("geometry", "area_m2", "area", _POSITIVE),
+    ("mbvd", "c_m_farad", "c_m", _POSITIVE),
+    ("mbvd", "l_m_henry", "l_m", _POSITIVE),
+    ("mbvd", "c_plate_farad", "c_plate", _POSITIVE),
+    ("mbvd", "r_m_ohm", "r_m", _NON_NEGATIVE),
+    ("mbvd", "r_0_ohm", "r_0", _NON_NEGATIVE),
+    ("mbvd", "r_s_ohm", "r_s", _NON_NEGATIVE),
+)
 
 PRESET_NAMES = ("low-q", "high-q", "metamaterial")
 
@@ -126,13 +149,17 @@ class GridSpec:
 
 @dataclass(frozen=True, repr=False, eq=False)
 class Scenario:
-    """Validated parameter set; `raw` preserves the exact ingested mapping."""
+    """Validated parameter set; `raw` preserves the exact ingested mapping.
+
+    `c_plate` is the static plate capacitance [F], the one element of the
+    film's MBVD equivalent circuit that a command reads.
+    """
 
     name: str
     material: MaterialProps
     geometry: FbarGeometry
     drive: DriveParams
-    mbvd: MbvdParams
+    c_plate: float
     cavity: CavityParams
     line: LineParams
     env: ThermalEnv
@@ -185,6 +212,9 @@ def scenario_from_raw(raw: dict) -> Scenario:
         section: {key: _require_number(raw[section], key, f"{section}.{key}") for key in keys}
         for section, keys in _NUMBER_SCHEMA.items()
     }
+    for section, key, name, (compare, bound, message) in _BOUNDS:
+        if not compare(num[section][key], bound):
+            raise ConfigError(f"{section}.{name} {message}")
     fields = {
         section: {
             field: TWO_PI * num[section][key] if key.endswith("_hz") else num[section][key]
@@ -196,12 +226,11 @@ def scenario_from_raw(raw: dict) -> Scenario:
     material = MaterialProps(**fields["material"])
     geometry = FbarGeometry(**fields["geometry"])
     drive = DriveParams(**fields["drive"])
-    mbvd = MbvdParams(**fields["mbvd"])
     for key in ("z0_ohm", "v_light_m_s"):
         if num["cavity"][key] != num["line"][key]:
             raise ConfigError(f"cavity.{key} must equal line.{key}")
     line = LineParams(**fields["line"])
-    cavity = CavityParams(**fields["cavity"], l_eff=effective_length(mbvd.c_plate, line))
+    cavity = CavityParams(**fields["cavity"], l_eff=effective_length(fields["mbvd"]["c_plate"], line))
     env = ThermalEnv(**fields["environment"])
     points = raw["grid"]["points"]
     if not isinstance(points, int) or not 2 <= points <= MAX_ENTRIES:
@@ -215,7 +244,7 @@ def scenario_from_raw(raw: dict) -> Scenario:
         material=material,
         geometry=geometry,
         drive=drive,
-        mbvd=mbvd,
+        **fields["mbvd"],
         cavity=cavity,
         line=line,
         env=env,
@@ -262,8 +291,8 @@ def source_config(sc: Scenario, delta_x: float | None = None) -> SourceConfig:
     """
     if delta_x is None:
         delta_x = motional_amplitude(sc)
-    c0, delta_c = delta_capacitance(sc.material, sc.geometry, delta_x, c0=sc.mbvd.c_plate)
-    cap = TimeVaryingCap(c0=c0, delta_c=delta_c, omega_m=sc.geometry.omega_m)
+    delta_c = delta_capacitance(sc.geometry, delta_x, sc.c_plate)
+    cap = TimeVaryingCap(c0=sc.c_plate, delta_c=delta_c, omega_m=sc.geometry.omega_m)
     return SourceConfig(drive=sc.drive, cap=cap, window_time=sc.window_time)
 
 
@@ -282,12 +311,12 @@ def squeeze_params(sc: Scenario) -> squeeze.LcParams:
     """
     from . import squeeze
     omega_lc = sc.geometry.omega_m / 2.0
-    cap_total = 2.0 * sc.mbvd.c_plate
+    cap_total = 2.0 * sc.c_plate
     inductance = 1.0 / (omega_lc**2 * cap_total)
     return squeeze.LcParams(
         inductance=inductance,
-        cap_cavity=sc.mbvd.c_plate,
-        cap_mirror=sc.mbvd.c_plate,
+        cap_cavity=sc.c_plate,
+        cap_mirror=sc.c_plate,
         gap=sc.geometry.t_piezo,
         delta_x=motional_amplitude(sc),
         omega_m=sc.geometry.omega_m,

@@ -1,15 +1,18 @@
 """Closed forms of the paper's claims that no `fbar-dce` command runs.
 
 This module holds the film's static response and off-resonant
-susceptibility, the MBVD equivalent circuit's impedances, resonances and
-quality factor, the time-domain source term, the windowed turn-on transform
+susceptibility, the MBVD equivalent circuit's elements, impedances, resonances
+and quality factor, the time-domain source term, the windowed turn-on transform
 and the coherent-line weights of the mirror source, the coupling element's
 transfer matrix, the impedance and rate scaling laws, and the series
 expansion of the parametric model's inverse capacitance. The unit tests and
 the acceptance criteria check them against the package, and several are the
 independent routes of their oracles, for example the windowed transform that
 the FFT check compares with. They live here, outside the package they check,
-so that every function in `src/` is one a command runs.
+so that every function in `src/` is one a command runs. The scenario numbers
+that only these checks read (the circuit's elements but the plate
+capacitance, the film's Poisson ratio, sound speed and permittivity, the
+electrode area) are taken from the scenario's raw mapping.
 
 Nothing here re-derives a formula of the package: the tone list, the turn-on
 jump, the bare coefficients and the dressed coefficients are imported from
@@ -20,14 +23,14 @@ on the import path).
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from fbar_dce.cavity import CavityParams, dressed_coefficients
-from fbar_dce.errors import ConfigError, UnderflowError, positive_frequencies
-from fbar_dce.piezo import FbarGeometry, MaterialProps, MbvdParams
+from fbar_dce.errors import ConfigError, UnderflowError, check_fields, positive_frequencies
+from fbar_dce.piezo import FbarGeometry, MaterialProps
 from fbar_dce.scatter import (
     _SQRT_2PI,
     LineParams,
@@ -93,14 +96,65 @@ def mechanical_susceptibility(omega, omega_m: float, gamma: float):
     return 1.0 / (omega_m**2 - omega**2 - 1j * gamma * omega)
 
 
-def area_from_capacitance(mat: MaterialProps, t_piezo: float, c0: float) -> float:
+def area_from_capacitance(permittivity: float, t_piezo: float, c0: float) -> float:
     """Electrode area implied by a measured plate capacitance: t * c0 / permittivity [m^2]."""
     if not (t_piezo > 0.0 and c0 > 0.0):
         raise ConfigError("t_piezo and c0 must be strictly positive")
-    return t_piezo * c0 / mat.permittivity
+    return t_piezo * c0 / permittivity
 
 
-# Modified Butterworth-Van Dyke (MBVD) equivalent circuit of the film resonator (fbar_dce.piezo.MbvdParams)
+# Modified Butterworth-Van Dyke (MBVD) equivalent circuit of the film resonator;
+# a command reads only its plate capacitance, as Scenario.c_plate
+
+@dataclass(frozen=True)
+class MbvdParams:
+    """Lumped-element values of the MBVD equivalent circuit.
+
+    Six lumped elements: a motional branch (r_m, l_m, c_m in series) in
+    parallel with a lossy plate branch (r_0 in series with c_plate), plus an
+    electrode series resistance r_s that is carried in the parameter set but
+    excluded from the two-branch reduction.
+
+    Parameters
+    ----------
+    c_m : float
+        Motional capacitance [F].
+    l_m : float
+        Motional inductance [H].
+    r_m : float
+        Motional (acoustic-loss) resistance [Ohm].
+    r_0 : float
+        Dielectric-loss resistance in the plate branch [Ohm].
+    r_s : float
+        Electrode series resistance [Ohm]; informational, not part of the
+        two-branch parallel reduction.
+    c_plate : float
+        Static plate capacitance [F].
+    """
+
+    c_m: float
+    l_m: float
+    r_m: float
+    r_0: float
+    r_s: float
+    c_plate: float
+
+    def __post_init__(self):
+        check_fields(self, "mbvd", positive=("c_m", "l_m", "c_plate"), non_negative=("r_m", "r_0", "r_s"))
+
+    @classmethod
+    def of(cls, sc) -> MbvdParams:
+        """The circuit of a loaded scenario, from its raw `mbvd` section."""
+        raw = sc.raw["mbvd"]
+        return cls(
+            c_m=raw["c_m_farad"],
+            l_m=raw["l_m_henry"],
+            r_m=raw["r_m_ohm"],
+            r_0=raw["r_0_ohm"],
+            r_s=raw["r_s_ohm"],
+            c_plate=raw["c_plate_farad"],
+        )
+
 
 def motional_impedance(p: MbvdParams, omega):
     """Series-branch impedance r_m + i*(omega*l_m - 1/(omega*c_m)) [Ohm].

@@ -20,6 +20,7 @@ import time
 import numpy as np
 
 from paper_checks import (
+    MbvdParams,
     area_from_capacitance,
     equivalent_impedance,
     impedance_scaling_check,
@@ -88,8 +89,9 @@ def test_criterion_02_high_quality_amplitude():
 
 def test_criterion_03_plate_impedance():
     w = TWO_PI * 2.1e9
-    z0 = plate_impedance(LOW_Q.mbvd, w)
-    _, err = equivalent_impedance(LOW_Q.mbvd, w)
+    mbvd = MbvdParams.of(LOW_Q)
+    z0 = plate_impedance(mbvd, w)
+    _, err = equivalent_impedance(mbvd, w)
     ok = (
         _within(z0.real, 8.0, 0.01)
         and _within(z0.imag, -189.0, 0.01)
@@ -104,7 +106,7 @@ def test_criterion_03_plate_impedance():
 
 
 def test_criterion_04_electrode_area_inverse_check():
-    area = area_from_capacitance(LOW_Q.material, LOW_Q.geometry.t_piezo, LOW_Q.mbvd.c_plate)
+    area = area_from_capacitance(LOW_Q.raw["material"]["permittivity_f_m"], LOW_Q.geometry.t_piezo, LOW_Q.c_plate)
     ok = _within(area, 7.7e-10, 0.03)
     _verdict(
         4,

@@ -2,8 +2,10 @@
 
 Each bound is written as the condition that must hold, so a NaN fails it by
 construction and is a configuration error. The field cases are collected from
-`dataclasses.fields`, so a float field added later is covered without a test
-edit.
+`dataclasses.fields`, and the scenario-number cases from the loader's schema,
+so a float field or a scenario key added later is covered without a test edit.
+The paper checks' `MbvdParams` holds the circuit that no command reads, and
+keeps the same contract.
 """
 
 import dataclasses
@@ -11,13 +13,13 @@ import math
 
 import numpy as np
 import pytest
-from paper_checks import mechanical_susceptibility, source_time, vc_ratio
+from paper_checks import MbvdParams, mechanical_susceptibility, source_time, vc_ratio
 
 from fbar_dce.cavity import dressed_coefficients
 from fbar_dce.errors import ConfigError
 from fbar_dce.flux import output_spectrum
 from fbar_dce.piezo import delta_capacitance
-from fbar_dce.scenario import load_scenario, source_config, squeeze_params
+from fbar_dce.scenario import _NUMBER_SCHEMA, load_scenario, preset_raw, scenario_from_raw, source_config, squeeze_params
 from fbar_dce.squeeze import analytic_photon_number, evolve_series
 
 SC = load_scenario("low-q")
@@ -28,7 +30,7 @@ INSTANCES = {
     "material": SC.material,
     "geometry": SC.geometry,
     "drive": SC.drive,
-    "mbvd": SC.mbvd,
+    "mbvd": MbvdParams.of(SC),
     "cavity": SC.cavity,
     "line": SC.line,
     "env": SC.env,
@@ -50,9 +52,20 @@ def test_nan_field_is_config_error(instance, name):
         dataclasses.replace(instance, **{name: math.nan})
 
 
+@pytest.mark.parametrize(
+    "section, key", [pytest.param(s, k, id=f"{s}.{k}") for s, keys in _NUMBER_SCHEMA.items() for k in keys]
+)
+def test_nan_scenario_number_is_config_error(section, key):
+    # read or not, every number the schema lists is checked, including the keys no class holds
+    raw = preset_raw("low-q")
+    raw[section][key] = math.nan
+    with pytest.raises(ConfigError, match=f"field {section}.{key} must"):
+        scenario_from_raw(raw)
+
+
 NAN_GRID = np.array([1e9, math.nan])
 ARGUMENT_CALLS = {
-    "delta_capacitance-delta_x": lambda: delta_capacitance(SC.material, SC.geometry, math.nan),
+    "delta_capacitance-delta_x": lambda: delta_capacitance(SC.geometry, math.nan, SC.c_plate),
     "mechanical_susceptibility-omega": lambda: mechanical_susceptibility(math.nan, OMEGA_M, 1e6),
     "mechanical_susceptibility-omega-array": lambda: mechanical_susceptibility(NAN_GRID, OMEGA_M, 1e6),
     "mechanical_susceptibility-gamma": lambda: mechanical_susceptibility(1e9, OMEGA_M, math.nan),

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, CSV schema, determinism, physics columns."""
 
 import ast
+import dataclasses
 import functools
 import json
 import math
@@ -20,10 +21,12 @@ from hypothesis import strategies as st
 
 import fbar_dce
 from fbar_dce import __version__, brent, cavity, cli, floattext, flux
-from fbar_dce.cavity import cavity_resonances
+from fbar_dce.cavity import CavityParams, cavity_resonances
 from fbar_dce.constants import TWO_PI
 from fbar_dce.flux import ThermalEnv, thermal_occupation
-from fbar_dce.scenario import grid_array, load_scenario, preset_raw, source_config
+from fbar_dce.piezo import DriveParams, FbarGeometry, MaterialProps
+from fbar_dce.scatter import LineParams
+from fbar_dce.scenario import _NUMBER_SCHEMA, GridSpec, Scenario, grid_array, load_scenario, preset_raw, source_config
 
 OMEGA_M = TWO_PI * 4.2e9
 
@@ -1136,19 +1139,20 @@ def _entered_code(argvs, out_dir):
     return {(os.path.realpath(path), line) for path, line in entered}
 
 
+# one small run of every command, and a spectrum long enough for the numpy formatter
+_EVERY_COMMAND = [
+    ["spectrum", "--points", "64"],
+    ["decompose", "--points", "64"],
+    ["resonances"],
+    ["sweep", "--axis", "z0", "--values", "55,10000,1e200"],
+    ["squeeze", "--dim", "16", "--samples", "3"],
+    ["spectrum", "--points", str(cli._NUMPY_ROWS)],
+]
+
+
 def test_every_src_function_runs_in_some_command(tmp_path):
     # src/ holds what a command runs; the paper checks that only tests call live in tests/paper_checks.py
-    entered = _entered_code(
-        [
-            ["spectrum", "--points", "64"],
-            ["decompose", "--points", "64"],
-            ["resonances"],
-            ["sweep", "--axis", "z0", "--values", "55,10000,1e200"],
-            ["squeeze", "--dim", "16", "--samples", "3"],
-            ["spectrum", "--points", str(cli._NUMPY_ROWS)],
-        ],
-        tmp_path,
-    )
+    entered = _entered_code(_EVERY_COMMAND, tmp_path)
     unreached, reached = [], set()
     for path in sorted(Path(fbar_dce.__file__).resolve().parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -1166,6 +1170,52 @@ def test_every_src_function_runs_in_some_command(tmp_path):
                 unreached.append(f"{qualified} (line {line})")
     assert unreached == []
     assert not reached & _UNREACHED_IN_SRC  # an allowed entry that a command now runs is stale
+
+
+# the class each scenario section fills; the mbvd section fills Scenario itself
+_SCHEMA_CLASSES = {
+    "material": MaterialProps,
+    "geometry": FbarGeometry,
+    "drive": DriveParams,
+    "mbvd": Scenario,
+    "cavity": CavityParams,
+    "line": LineParams,
+    "environment": ThermalEnv,
+    "grid": GridSpec,
+}
+# frames whose reads check or copy a field rather than use it
+_CHECKING_FRAMES = ("__post_init__", "check_fields")
+
+
+def test_every_schema_field_is_read_by_some_command(tmp_path, monkeypatch):
+    # a scenario number that no command reads is left unmapped in the schema, like cavity.z0_ohm
+    assert set(_SCHEMA_CLASSES) == set(_NUMBER_SCHEMA)
+    read = set()
+
+    def tracking(cls, fields):
+        original = cls.__getattribute__
+
+        def __getattribute__(self, name):
+            if name in fields:
+                caller = sys._getframe(1)
+                if caller.f_code.co_name not in _CHECKING_FRAMES and caller.f_globals["__name__"] != "dataclasses":
+                    read.add((cls.__name__, name))
+            return original(self, name)
+
+        return __getattribute__
+
+    for cls in set(_SCHEMA_CLASSES.values()):
+        fields = {f.name for f in dataclasses.fields(cls)}
+        monkeypatch.setattr(cls, "__getattribute__", tracking(cls, fields))
+    for i, argv in enumerate(_EVERY_COMMAND):
+        assert cli.main(argv + ["--out", str(tmp_path / f"{i}.csv")]) == 0, argv
+    mapped = {
+        (_SCHEMA_CLASSES[section].__name__, field)
+        for section, keys in _NUMBER_SCHEMA.items()
+        for field in keys.values()
+        if field is not None
+    }
+    assert sorted(mapped - read) == []
 
 
 def test_squeeze_command_matches_closed_form(tmp_path):

@@ -476,7 +476,7 @@ def test_lane_fields_check_every_entry():
         lambda: replace(CAP, delta_c=np.array([[DELTA_C], [CAP.c0]])),
         lambda: DriveParams(v_pp=np.array([[5e-4], [-1e-30]]), omega_d=OMEGA_M),
         lambda: LineParams(z0=np.array([[55.0], [math.nan]]), v_light=1e8),
-        lambda: FbarGeometry(t_piezo=3.5e-7, area=7.7e-10, quality=np.array([[2.0], [0.5]]), omega_m=OMEGA_M),
+        lambda: FbarGeometry(t_piezo=3.5e-7, quality=np.array([[2.0], [0.5]]), omega_m=OMEGA_M),
     ):
         with pytest.raises(ConfigError):
             make()
@@ -484,9 +484,9 @@ def test_lane_fields_check_every_entry():
     sc = scenario_from_raw(preset_raw("low-q"))
     bound = sc.geometry.t_piezo / 100.0
     with pytest.raises(ValidityError):
-        delta_capacitance(sc.material, sc.geometry, np.array([[1e-12], [bound]]))
+        delta_capacitance(sc.geometry, np.array([[1e-12], [bound]]), sc.c_plate)
     with pytest.raises(ConfigError) as nan_entry:
-        delta_capacitance(sc.material, sc.geometry, np.array([[1e-12], [math.nan]]))
+        delta_capacitance(sc.geometry, np.array([[1e-12], [math.nan]]), sc.c_plate)
     assert nan_entry.type is ConfigError
 
 

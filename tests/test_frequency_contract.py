@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from paper_checks import (
+    MbvdParams,
     composite_quality,
     equivalent_impedance,
     inout_transfer,
@@ -26,6 +27,7 @@ from fbar_dce.scenario import load_scenario, source_config
 
 SC = load_scenario("low-q")
 CFG = source_config(SC)
+MBVD = MbvdParams.of(SC)
 
 # name -> (call with omega, whether the function takes arrays)
 CALLS = {
@@ -36,10 +38,10 @@ CALLS = {
     "windowed_source_transform": (lambda w: windowed_source_transform(CFG, w), True),
     "h_coefficient": (lambda w: h_coefficient(w, CFG, SC.line), True),
     "thermal_occupation": (lambda w: thermal_occupation(w, SC.env), True),
-    "motional_impedance": (lambda w: motional_impedance(SC.mbvd, w), True),
-    "plate_impedance": (lambda w: plate_impedance(SC.mbvd, w), True),
-    "equivalent_impedance": (lambda w: equivalent_impedance(SC.mbvd, w), True),
-    "composite_quality": (lambda w: composite_quality(SC.mbvd, w), True),
+    "motional_impedance": (lambda w: motional_impedance(MBVD, w), True),
+    "plate_impedance": (lambda w: plate_impedance(MBVD, w), True),
+    "equivalent_impedance": (lambda w: equivalent_impedance(MBVD, w), True),
+    "composite_quality": (lambda w: composite_quality(MBVD, w), True),
 }
 BAD = {"zero": 0.0, "negative": -1.0, "nan": math.nan, "array-with-nan": np.array([1e9, math.nan])}
 CASES = [

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from paper_checks import (
+    MbvdParams,
     composite_quality,
     equivalent_impedance,
     motional_impedance,
@@ -13,7 +14,6 @@ from paper_checks import (
 )
 
 from fbar_dce.errors import ConfigError, UnderflowError
-from fbar_dce.piezo import MbvdParams
 
 PARAMS = MbvdParams(c_m=0.655e-15, l_m=1.043e-6, r_m=146.0, r_0=8.0, r_s=0.0, c_plate=0.4e-12)
 OMEGA_21 = 2.0 * math.pi * 2.1e9

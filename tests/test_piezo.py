@@ -8,19 +8,19 @@ from paper_checks import area_from_capacitance, mechanical_susceptibility, stati
 
 from fbar_dce.errors import ConfigError, UnderflowError, ValidityError
 from fbar_dce.piezo import DriveParams, FbarGeometry, MaterialProps, delta_capacitance, driven_amplitude
+from fbar_dce.scenario import preset_raw, scenario_from_raw
 
-# Aluminum-nitride film and resonator values used throughout the suite.
-MAT = MaterialProps(
-    youngs_modulus=3.08e11,
-    density=3230.0,
-    d33=5.1e-12,
-    poisson=0.287,
-    sound_speed=9100.0,
-    permittivity=9.2 * 8.8541878128e-12,
-)
+# Aluminum-nitride film and resonator values used throughout the suite; the
+# paper checks alone read the Poisson ratio, sound speed, permittivity and area.
+MAT = MaterialProps(youngs_modulus=3.08e11, density=3230.0, d33=5.1e-12)
+POISSON = 0.287
+SOUND_SPEED = 9100.0
+PERMITTIVITY = 9.2 * 8.8541878128e-12
+AREA = 7.7e-10
 OMEGA_M = 2.0 * math.pi * 4.2e9
-GEO = FbarGeometry(t_piezo=3.5e-7, area=7.7e-10, quality=300.0, omega_m=OMEGA_M)
+GEO = FbarGeometry(t_piezo=3.5e-7, quality=300.0, omega_m=OMEGA_M)
 DRIVE = DriveParams(v_pp=5.0e-4, omega_d=OMEGA_M)
+C_PLATE = 0.4e-12
 
 # Frozen full-precision outputs of the closed-form amplitude chain; the
 # loose reference checks (8.5e-13 m +- 5% etc.) live in the acceptance suite.
@@ -97,14 +97,14 @@ def test_driven_amplitude_per_volt_slope():
 
 
 def test_driven_amplitude_high_quality_variant():
-    geo = FbarGeometry(t_piezo=3.5e-7, area=7.7e-10, quality=3.0e6, omega_m=OMEGA_M)
+    geo = FbarGeometry(t_piezo=3.5e-7, quality=3.0e6, omega_m=OMEGA_M)
     drv = DriveParams(v_pp=5.0e-6, omega_d=OMEGA_M)
     assert driven_amplitude(MAT, geo, drv) == pytest.approx(DELTA_X_HIGH_Q, rel=1e-13)
 
 
 def test_driven_amplitude_exactly_linear_in_quality_and_voltage():
     base = driven_amplitude(MAT, GEO, DRIVE)
-    geo2 = FbarGeometry(t_piezo=3.5e-7, area=7.7e-10, quality=600.0, omega_m=OMEGA_M)
+    geo2 = FbarGeometry(t_piezo=3.5e-7, quality=600.0, omega_m=OMEGA_M)
     drv2 = DriveParams(v_pp=1.0e-3, omega_d=OMEGA_M)
     assert abs(driven_amplitude(MAT, geo2, DRIVE) / base - 2.0) < 1e-12
     assert abs(driven_amplitude(MAT, GEO, drv2) / base - 2.0) < 1e-12
@@ -121,56 +121,52 @@ def test_resonant_enhancement_over_static_response():
     # estimate evaluated at the resonator's own frequency.
     delta_z, _ = static_response(MAT, GEO, DRIVE.v_pp)
     enhancement = driven_amplitude(MAT, GEO, DRIVE) / delta_z
-    predicted = GEO.quality * 3.0 * (1.0 - 2.0 * MAT.poisson) * (
-        MAT.sound_speed / (GEO.omega_m * GEO.t_piezo)
+    predicted = GEO.quality * 3.0 * (1.0 - 2.0 * POISSON) * (
+        SOUND_SPEED / (GEO.omega_m * GEO.t_piezo)
     ) ** 2
     assert 0.8 <= enhancement / predicted <= 1.2
 
 
 def test_delta_capacitance_measured_plate_value():
-    c0, delta_c = delta_capacitance(MAT, GEO, 8.5e-13, c0=0.4e-12)
-    assert c0 == 0.4e-12
+    delta_c = delta_capacitance(GEO, 8.5e-13, C_PLATE)
     assert delta_c == pytest.approx(0.4e-12 * 8.5e-13 / 3.5e-7, rel=1e-15)
     assert delta_c == pytest.approx(9.71e-19, rel=5e-3)
 
 
-def test_delta_capacitance_parallel_plate_default():
-    c0, delta_c = delta_capacitance(MAT, GEO, 1.0e-13)
-    assert c0 == pytest.approx(MAT.permittivity * GEO.area / GEO.t_piezo, rel=1e-15)
-    assert delta_c / c0 == pytest.approx(1.0e-13 / GEO.t_piezo, rel=1e-15)
-
-
 def test_delta_capacitance_zero_motion():
-    _, delta_c = delta_capacitance(MAT, GEO, 0.0)
-    assert delta_c == 0.0
+    assert delta_capacitance(GEO, 0.0, C_PLATE) == 0.0
 
 
 def test_delta_capacitance_rejects_large_excursion():
     with pytest.raises(ValidityError):
-        delta_capacitance(MAT, GEO, GEO.t_piezo / 100.0)
+        delta_capacitance(GEO, GEO.t_piezo / 100.0, C_PLATE)
     # just inside the bound is accepted
-    delta_capacitance(MAT, GEO, 0.99 * GEO.t_piezo / 100.0)
+    delta_capacitance(GEO, 0.99 * GEO.t_piezo / 100.0, C_PLATE)
     with pytest.raises(ConfigError):
-        delta_capacitance(MAT, GEO, -1.0e-15)
+        delta_capacitance(GEO, -1.0e-15, C_PLATE)
 
 
 def test_area_from_capacitance_roundtrip():
-    c0 = MAT.permittivity * GEO.area / GEO.t_piezo
-    assert area_from_capacitance(MAT, GEO.t_piezo, c0) == pytest.approx(GEO.area, rel=1e-12)
+    c0 = PERMITTIVITY * AREA / GEO.t_piezo
+    assert area_from_capacitance(PERMITTIVITY, GEO.t_piezo, c0) == pytest.approx(AREA, rel=1e-12)
     with pytest.raises(ConfigError):
-        area_from_capacitance(MAT, GEO.t_piezo, 0.0)
+        area_from_capacitance(PERMITTIVITY, GEO.t_piezo, 0.0)
 
 
 def test_material_validation():
+    # the scenario loader bounds the numbers only the paper checks read
+    for key, value in (("poisson_ratio", 0.55), ("permittivity_f_m", 1.0e-12)):
+        raw = preset_raw("low-q")
+        raw["material"][key] = value
+        with pytest.raises(ConfigError):
+            scenario_from_raw(raw)
     with pytest.raises(ConfigError):
-        MaterialProps(3.08e11, 3230.0, 5.1e-12, 0.55, 9100.0, 9.2 * 8.8541878128e-12)
-    with pytest.raises(ConfigError):
-        MaterialProps(3.08e11, 3230.0, 5.1e-12, 0.287, 9100.0, 1.0e-12)
+        MaterialProps(3.08e11, 0.0, 5.1e-12)
 
 
 def test_geometry_and_drive_validation():
     with pytest.raises(ConfigError):
-        FbarGeometry(t_piezo=3.5e-7, area=7.7e-10, quality=0.5, omega_m=OMEGA_M)
+        FbarGeometry(t_piezo=3.5e-7, quality=0.5, omega_m=OMEGA_M)
     with pytest.raises(ConfigError):
         DriveParams(v_pp=-1.0e-4, omega_d=OMEGA_M)
     with pytest.raises(ConfigError):

@@ -2,11 +2,12 @@
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
 
-from fbar_dce.constants import TWO_PI
+from fbar_dce.constants import EPS0, TWO_PI
 from fbar_dce.errors import ConfigError
 from fbar_dce.scenario import (
     PRESET_NAMES,
@@ -181,6 +182,42 @@ def test_window_time_floor_enforced():
         scenario_from_raw(raw)
 
 
+BELOW_ZERO = math.nextafter(0.0, -1.0)
+
+
+# each bound on a number no class holds, one step outside its range, with the message of the class check it replaced
+OUT_OF_BOUNDS = [
+    ("material", "poisson_ratio", 0.0, "material.poisson must be strictly positive"),
+    ("material", "poisson_ratio", 0.5, "material.poisson must lie in (0, 0.5)"),
+    ("material", "sound_speed_m_s", 0.0, "material.sound_speed must be strictly positive"),
+    ("material", "permittivity_f_m", 0.0, "material.permittivity must be strictly positive"),
+    (
+        "material",
+        "permittivity_f_m",
+        math.nextafter(EPS0, 0.0),
+        "material.permittivity must be at least the vacuum permittivity",
+    ),
+    ("geometry", "area_m2", 0.0, "geometry.area must be strictly positive"),
+    ("mbvd", "c_m_farad", 0.0, "mbvd.c_m must be strictly positive"),
+    ("mbvd", "l_m_henry", 0.0, "mbvd.l_m must be strictly positive"),
+    ("mbvd", "c_plate_farad", 0.0, "mbvd.c_plate must be strictly positive"),
+    ("mbvd", "r_m_ohm", BELOW_ZERO, "mbvd.r_m must be non-negative"),
+    ("mbvd", "r_0_ohm", BELOW_ZERO, "mbvd.r_0 must be non-negative"),
+    ("mbvd", "r_s_ohm", BELOW_ZERO, "mbvd.r_s must be non-negative"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message", OUT_OF_BOUNDS, ids=[f"{key}={value!r}" for _, key, value, _ in OUT_OF_BOUNDS]
+)
+def test_number_outside_its_bound_rejected(section, key, value, message):
+    raw = preset_raw("low-q")
+    raw[section][key] = value
+    with pytest.raises(ConfigError) as err:
+        scenario_from_raw(raw)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("key,value", [("z0_ohm", 999.0), ("v_light_m_s", 2e8)])
 def test_cavity_line_mismatch_rejected(key, value):
     # the cavity section is cut from the line: its z0 and signal speed are the line's
@@ -202,20 +239,20 @@ def test_grid_array_shape():
 def test_source_config_wiring():
     sc = load_scenario("low-q")
     cfg = source_config(sc)
-    assert cfg.cap.c0 == sc.mbvd.c_plate
+    assert cfg.cap.c0 == sc.c_plate
     assert cfg.cap.delta_c == pytest.approx(DELTA_C_LOW_Q, rel=1e-12)
     assert cfg.cap.omega_m == sc.geometry.omega_m
     assert cfg.window_time == sc.window_time
     still = source_config(sc, delta_x=0.0)
     assert still.cap.delta_c == 0.0
-    assert still.cap.c0 == sc.mbvd.c_plate
+    assert still.cap.c0 == sc.c_plate
 
 
 def test_squeeze_params_wiring():
     sc = load_scenario("low-q")
     p = squeeze_params(sc)
     assert p.omega_lc == pytest.approx(sc.geometry.omega_m / 2.0, rel=1e-14)
-    assert p.cap_total == pytest.approx(2.0 * sc.mbvd.c_plate, rel=1e-15)
+    assert p.cap_total == pytest.approx(2.0 * sc.c_plate, rel=1e-15)
     assert p.gap == sc.geometry.t_piezo
     assert p.delta_x == pytest.approx(DELTA_X_LOW_Q, rel=1e-12)
     assert squeeze_coupling(p) == pytest.approx(2014.7740992912945, rel=1e-12)

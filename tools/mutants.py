@@ -193,6 +193,13 @@ MUTANTS = {
         "            pass\n",
         ("tests/test_cli.py::test_override_replaces_invalid_file_value",),
     ),
+    # the loader keeps the bounds of the numbers no class holds, r_m >= 0 among them
+    "loader-drops-r_m-bound": Mutant(
+        "scenario.py",
+        '    ("mbvd", "r_m_ohm", "r_m", _NON_NEGATIVE),\n',
+        "",
+        ("tests/test_scenario.py::test_number_outside_its_bound_rejected",),
+    ),
     # round-off below zero in n_mech_only is clipped to +0.0
     "drop-mech-only-clip": Mutant(
         "flux.py",
