@@ -58,16 +58,19 @@ class DressedCoefficients(NamedTuple):
 
 
 def _denominator(omega, cav: CavityParams):
-    """Shared cavity denominator (1 - 2i*omega/omega_c) + exp(2i*k*d_eff) over a checked float array."""
-    den = (1.0 - 2j * omega / cav.omega_coupling) + np.exp(2j * omega * cav.d_eff / cav.v_light)
+    """(e^{2ikd_eff}, den) over a checked float array: the round-trip phase and den = (1 - 2i*omega/omega_c) + it."""
+    trip = np.exp(2j * omega * cav.d_eff / cav.v_light)
+    den = (1.0 - 2j * omega / cav.omega_coupling) + trip
     if np.any(np.abs(den) < 1e-14):
         raise UnderflowError("cavity denominator below 1e-14")
-    return den
+    return trip, den
 
 
-def _reflection(w, den, cav: CavityParams):
-    """Reflection e^{2ikd_eff} * conj(den)/den over a precomputed denominator."""
-    return np.exp(2j * w * cav.d_eff / cav.v_light) * (np.conj(den) / den)
+def _reflection(trip, den):
+    """Reflection e^{2ikd_eff} * conj(den)/den over a precomputed phase factor and denominator."""
+    # with both factors named, numpy writes the product to a new array; written over a factor it can round apart
+    ratio = np.conj(den) / den
+    return trip * ratio
 
 
 def _mode(w, den, cav: CavityParams):
@@ -82,8 +85,7 @@ def reflection_coefficient(omega, cav: CavityParams):
     e^{2ikd} * conj(denominator), so the coefficient is evaluated in that
     form and |R| = 1 holds to rounding for every omega.
     """
-    w = positive_frequencies(omega)
-    return _reflection(w, _denominator(w, cav), cav)
+    return _reflection(*_denominator(positive_frequencies(omega), cav))
 
 
 def mode_response(omega, cav: CavityParams):
@@ -93,7 +95,7 @@ def mode_response(omega, cav: CavityParams):
     omega_coupling >> omega.
     """
     w = positive_frequencies(omega)
-    return _mode(w, _denominator(w, cav), cav)
+    return _mode(w, _denominator(w, cav)[1], cav)
 
 
 def _resonance_mismatch(omega: float, cav: CavityParams) -> float:
@@ -169,7 +171,8 @@ def dressed_coefficients(
     """Cavity-dressed coefficients over frequencies 0 < omega < modulation frequency.
 
     The cavity denominator at omega is evaluated once and shared by the
-    reflection, the self-frequency mode response and both drive-sourced terms.
+    reflection (with its round-trip phase), the self-frequency mode response
+    and both drive-sourced terms.
     The upper-sideband mixing amplitude is dressed by the mode response at
     omega and omega_m + omega, the lower sideband by the conjugated response
     at omega and the response at omega_m - omega, and the drive-sourced term
@@ -183,8 +186,8 @@ def dressed_coefficients(
     """
     om = cfg.cap.omega_m
     w = positive_frequencies(omega, below=om)
-    den = _denominator(w, cav)
-    r = _reflection(w, den, cav)
+    trip, den = _denominator(w, cav)
+    r = _reflection(trip, den)
     defect = np.abs(np.abs(r) - 1.0)
     if not np.all(defect <= 1e-10):  # NaN fails too
         raise UnderflowError(

@@ -4,10 +4,11 @@ parameter sweeps and the parametric-model time series.
 Each command is a runner in `_COMMANDS`: `run(scenario, args)` gets the loaded,
 overridden scenario, checks its own options, writes nothing and returns
 `(extra_header_lines, columns, table)`. The table is `(rows, block)`:
-`block(start, stop)` gives one sequence of cells per column for those rows.
+`block(start, stop)` gives one column per field for those rows: a float array,
+or a `(codes, texts)` pair whose row i is `texts[codes[i]]`.
 `spectrum` and `decompose` evaluate each block as it is asked for; the other
 commands slice columns computed up front (`_precomputed`). `main` writes that
-one table after the common header.
+one table after the common header, as UTF-8 bytes.
 
 Exit codes: 0 success, 2 configuration/schema error (including a size too
 large to allocate), 3 numerical failure. All floats are emitted with 17
@@ -32,74 +33,106 @@ from .scenario import Scenario, grid_array, load_scenario, scenario_hash, source
 _SWEEP_AXES = ("v_pp", "q", "z0", "delta_x")
 
 
-_BLOCK_ROWS = 8192
+_BLOCK_ROWS = 4096
 # a table of fewer rows is formatted with %: below ~2000 rows the numpy formatter's import and set-up
 # (7-10 ms, mostly its tables) cost more than it saves, and the default 2000-point grid stays clear of that cost
 _NUMPY_ROWS = 4096
-# by dtype kind: text as is, bools 1/0, ints as digits, anything else as a float with 17 significant digits
-_CELL_FORMAT = {"U": "%s", "b": "%d", "i": "%d", "u": "%d"}
+
+
+def _column(cells):
+    """Cells as the writer takes them: floats as an array, other cells as a (codes, texts) pair, each distinct cell
+    once, bools and ints as digits."""
+    if not isinstance(cells[0], str):
+        column = np.asarray(cells)
+        if column.dtype.kind == "f":
+            return column
+        cells = column.tolist()
+    index = {cell: i for i, cell in enumerate(dict.fromkeys(cells))}
+    texts = tuple(cell if isinstance(cell, str) else "%d" % cell for cell in index)
+    return np.fromiter(map(index.__getitem__, cells), np.intp, len(cells)), texts
 
 
 def _precomputed(cells):
-    """The (rows, block) table of columns computed up front: block(start, stop) slices each column."""
-    return len(cells[0]) if cells else 0, lambda start, stop: [column[start:stop] for column in cells]
+    """The (rows, block) table of columns computed up front: block(start, stop) slices each column (`_column`)."""
+    return len(cells[0]) if cells else 0, lambda start, stop: [_column(column[start:stop]) for column in cells]
 
 
-def _block_text(table, start: int) -> str:
-    """The rows from start to start + _BLOCK_ROWS of a (rows, block) table."""
-    rows, block = table
-    cells = block(start, start + _BLOCK_ROWS)
-    if rows >= _NUMPY_ROWS:
-        from . import floattext
+def _percent_text(block) -> bytes:
+    """The CSV rows of a block with %: floats as %.17g, (codes, texts) columns by their text."""
+    formats, columns = [], []
+    for column in block:
+        if isinstance(column, tuple):
+            codes, texts = column
+            formats.append(b"%s")
+            columns.append(map([text.encode() for text in texts].__getitem__, codes.tolist()))
+        else:
+            formats.append(b"%.17g")
+            columns.append(column.tolist())
+    row = b",".join(formats) + b"\n"
+    return b"".join(map(row.__mod__, zip(*columns)))
 
-        return floattext.block_text(cells)
-    cells = [np.asarray(column) for column in cells]
-    row = ",".join(_CELL_FORMAT.get(column.dtype.kind, "%.17g") for column in cells) + "\n"
-    return "".join(map(row.__mod__, zip(*(column.tolist() for column in cells))))
+
+def _formatter(rows: int):
+    """The block formatter of a table: numpy's, holding its buffers for the table, from _NUMPY_ROWS rows on."""
+    if rows < _NUMPY_ROWS:
+        return _percent_text
+    from . import floattext
+
+    return floattext.BlockFormatter()
 
 
-def _write_text(fh, header: str, table) -> int:
-    """Write the header and the rows a block at a time; return the forked formatter's exit code (0 if none).
+def _write_text(fh, header: bytes, table) -> int:
+    """Write the header and the rows a block at a time to a binary file; return the child's exit code (0 if none).
 
-    A table of two or more blocks is evaluated and formatted on two processes:
-    a forked child takes the second half of the blocks into an anonymous
-    temporary file while this process writes the first half, then appends the
-    child's text with shutil.copyfileobj, one bounded chunk at a time. A
+    The formatter is made once per table, before any fork, so the numpy
+    formatter's module is imported in one process only. A table of two or
+    more blocks is evaluated and formatted on two processes: a forked child
+    takes the second half of the blocks into an anonymous binary temporary
+    file while this process writes the first half, then appends the child's
+    bytes as they are (shutil.copyfileobj, one bounded chunk at a time). A
     ConfigError or NumericalError in the child (exit code 2 or 3, its message
     in the temporary file) is raised again here. Where os.fork is missing the
     blocks run here.
     """
-    starts = range(0, table[0], _BLOCK_ROWS)
+    rows, block = table
+    text = _formatter(rows)
+
+    def texts(starts):  # each block is written before the next is formatted
+        return (text(block(start, start + _BLOCK_ROWS)) for start in starts)
+
+    starts = range(0, rows, _BLOCK_ROWS)
     mid = len(starts) // 2
     if mid == 0 or not hasattr(os, "fork"):
-        texts = (_block_text(table, start) for start in starts)
-        fh.write(header + next(texts, ""))  # a failure in the first block writes nothing
-        fh.writelines(texts)
+        blocks = texts(starts)
+        first = next(blocks, b"")  # a failure in the first block writes nothing
+        fh.write(header)
+        fh.write(first)
+        fh.writelines(blocks)
         return 0
     fh.write(header)
     import shutil
     import signal
     import tempfile
 
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+    with tempfile.TemporaryFile() as spool:
         fh.flush()
         pid = os.fork()
         if pid == 0:  # the child leaves through os._exit, which flushes none of the inherited stdio buffers
             code = 1
             try:
-                spool.writelines(_block_text(table, start) for start in starts[mid:])
+                spool.writelines(texts(starts[mid:]))
                 spool.flush()
                 code = 0
             except (SimulationError, ArithmeticError) as exc:  # main's exit code, and the message in the spool
                 spool.seek(0)
                 spool.truncate()
-                spool.write(str(exc))
+                spool.write(str(exc).encode())
                 spool.flush()
                 code = 2 if isinstance(exc, ConfigError) else 3
             finally:
                 os._exit(code)
         try:
-            fh.writelines(_block_text(table, start) for start in starts[:mid])
+            fh.writelines(texts(starts[:mid]))
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
@@ -109,11 +142,11 @@ def _write_text(fh, header: str, table) -> int:
         if code == 0:
             shutil.copyfileobj(spool, fh)
         elif code in (2, 3):
-            raise (ConfigError if code == 2 else NumericalError)(spool.read())
+            raise (ConfigError if code == 2 else NumericalError)(spool.read().decode())
     return code
 
 
-def _write_file(out_path: str, header: str, table) -> int:
+def _write_file(out_path: str, header: bytes, table) -> int:
     """Write the table to a file; return the forked formatter's exit code (0 if none).
 
     A missing target or a regular file is replaced only once the table is
@@ -128,10 +161,10 @@ def _write_file(out_path: str, header: str, table) -> int:
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(out_path, "w", newline="") as fh:
+        with open(out_path, "wb") as fh:
             return _write_text(fh, header, table)
     tmp = f"{target}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", newline="")
+    fh = open(tmp, "xb")
     replaced = False
     try:
         with fh:
@@ -149,11 +182,12 @@ def _write_file(out_path: str, header: str, table) -> int:
 
 def _write_table(out_path: str, header_lines: list[str], columns: list[str], table) -> None:
     """Write a CSV (rows, block) table (see the module docstring)."""
-    header = "".join(f"# {line}\n" for line in header_lines) + ",".join(columns) + "\n"
+    header = ("".join(f"# {line}\n" for line in header_lines) + ",".join(columns) + "\n").encode()
     try:
         if out_path == "-":
-            code = _write_text(sys.stdout, header, table)
             sys.stdout.flush()
+            code = _write_text(sys.stdout.buffer, header, table)
+            sys.stdout.buffer.flush()
         else:
             code = _write_file(out_path, header, table)
     except OSError as exc:
@@ -195,7 +229,7 @@ def _run_spectrum(sc: Scenario, args):
         cells = [table.omega / sc.geometry.omega_m, table.n_total, table.n_dce, table.n_thermal, table.n_mech_only]
         if args.command == "decompose":
             cells.append(table.n_dce - table.n_mech_only)
-        return cells + [table.flags]
+        return cells + [(table.flag_codes, flux.FLAGS)]
 
     return [], columns + ["flags"], (len(grid), block)
 
@@ -271,7 +305,7 @@ def _sweep_cells(sc: Scenario, args, values: list[float]) -> list[list]:
         half = len(values) // 2
         return _sweep_cells(sc, args, values[:half]) + _sweep_cells(sc, args, values[half:])
     lanes = [np.ravel(column) for column in (table.n_total, table.n_dce, table.n_thermal, table.n_mech_only)]
-    return [[*numbers, table.flags[0]] for numbers in zip(*lanes)]
+    return [[*numbers, flux.FLAGS[table.flag_codes[0]]] for numbers in zip(*lanes)]
 
 
 def _run_sweep(sc: Scenario, args):

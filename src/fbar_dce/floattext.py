@@ -1,4 +1,4 @@
-"""CSV text of a block of rows, with the float cells written in numpy exactly as '%.17g' % writes them.
+"""CSV bytes of blocks of rows, with the float cells written in numpy exactly as '%.17g' % writes them.
 
 Each positive finite value a = f * 2**q (f in [0.5, 1)) is scaled to its
 17 significant digits y = a * 10**-k, k = E - 16, E being the decimal
@@ -14,7 +14,8 @@ within _TIE_MARGIN of a rounding tie.
 A cell is a run of whole 8-byte little-endian words, NUL-padded, the last
 byte of its last word the separator. A block is built as a (words, rows)
 uint64 matrix, so that each word of a column is one contiguous row, then
-transposed a thousand rows at a time, and bytes.translate drops the NUL pads.
+staged in row order 512 rows at a time, where bytearray.translate drops the
+NUL pads. The matrix, the staging and the output are held for the table.
 A float cell takes four words, each a gather from a small table or a few
 whole-array operations on one column, with no pass per digit:
 
@@ -29,8 +30,8 @@ whole-array operations on one column, with no pass per digit:
 - bytes 2-6 of word 3, right-aligned: "e", the exponent's sign and at least
   two of its digits.
 
-A text, bool or int column is encoded once per distinct cell (the flags
-column holds two or three), then taken by code.
+A (codes, texts) column, such as the flags, has each text encoded once into
+its words, which are then gathered by code.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ _POWERS = np.array(
         for hi in [num / den]
         for a, b in [hi.as_integer_ratio()]
     ]
-).T
+).T.copy()  # contiguous rows: each is gathered on its own
 _SHIFTS = _POWERS[4].astype(np.int32)
 
 
@@ -73,7 +74,7 @@ def _scaled(f, q, e10):
     y is (f * hi + f * lo) * 2**(q - s): the power of two, in [2**53, 2**58], scales exactly.
     """
     k = e10 + (_K_OFFSET - 16)
-    hi, hh, hl, lo = _POWERS[:4].take(k, axis=1)
+    hi, hh, hl, lo = (row.take(k) for row in _POWERS[:4])
     shift = q - _SHIFTS.take(k)
     p = f * hi
     fh, fl = _split(f)
@@ -170,38 +171,67 @@ def _float_words(x, words):
         words[3, fallback] = 0
 
 
-def _coded_cells(cells: list, fmt: str):
-    """S array of the cells' fmt text, each distinct cell formatted once and then taken by its code."""
-    codes = {cell: i for i, cell in enumerate(dict.fromkeys(cells))}
-    index = np.fromiter(map(codes.__getitem__, cells), np.intp, len(cells))
-    return np.array([(fmt % cell).encode() for cell in codes]).take(index)
+def _text_table(texts):
+    """(span, len(texts)) uint64 words of each text's UTF-8 bytes, NUL-padded with room for the separator."""
+    encoded = [text.encode() for text in texts]
+    span = max(map(len, encoded)) // 8 + 1
+    return np.array(encoded, f"S{8 * span}").view("<u8").reshape(len(encoded), span).T
 
 
-def block_text(block) -> str:
-    """The CSV rows of one block, one sequence per column: str cells as is, bools and ints as digits, floats as %.17g."""
-    strs = [isinstance(column[0], str) for column in block]  # a tuple of str (the flags) is not made an array
-    block = [column if is_str else np.asarray(column) for column, is_str in zip(block, strs)]
-    rows = len(block[0])
-    cells = []  # (words, column): a float column, or the S array of a text, bool or int column
-    for column, is_str in zip(block, strs):
-        if not is_str and column.dtype.kind == "f":
-            cells.append((_WORDS, column.astype(float, copy=False)))
-        else:
-            text = _coded_cells(column, "%s") if is_str else _coded_cells(column.tolist(), "%d")
-            cells.append((text.itemsize // 8 + 1, text))  # room for the separator
-    # one row per word of a cell, so that a column's words are whole rows, then the rows of the CSV
-    words = np.empty((sum(span for span, _ in cells), rows), "<u8")
-    start = 0
-    for span, column in cells:
-        field = words[start : start + span]
-        if column.dtype.kind == "f":  # a column at a time: the temporaries stay in cache
-            _float_words(column, field)
-        else:
-            field[:] = column.astype(f"S{8 * span}").view("<u8").reshape(rows, span).T
-        field[-1] |= _COMMA
-        start += span
-    words[-1] ^= _NEWLINE
-    # a few rows at a time: buffers of this size are reused from block to block, where ones the size of the
-    # block are mapped afresh each time and paid for in page faults
-    step = 1024
-    return "".join(words[:, i : i + step].T.tobytes().translate(None, b"\0").decode() for i in range(0, rows, step))
+class BlockFormatter:
+    """The CSV bytes of the blocks of one table: float columns as %.17g, (codes, texts) columns by their text.
+
+    A block holds one column per field: a float array, or a (codes, texts)
+    pair whose row i is texts[codes[i]]. The word matrix, the staging buffer
+    and the output buffer are allocated at the first block and reused by each
+    later one, a shorter block taking a leading part: buffers allocated per
+    block are mapped afresh each time and paid for in page faults.
+    """
+
+    _STEP = 512  # rows staged at a time: 104 KiB of a spectrum's words, below glibc's 128 KiB mmap threshold
+
+    def __init__(self):
+        self._words = np.empty(0, "<u8")  # the block's (words, rows) matrix, flat
+        self._staged = bytearray()  # _STEP rows of words in CSV order, viewed as self._stage
+        self._stage = np.empty((0, 0), "<u8")
+        self._text = bytearray()
+
+    def __call__(self, block) -> memoryview:
+        """The CSV bytes of a block: a view of the output buffer, which the next call overwrites."""
+        fields = []  # (words of a cell, a float column or the (text table, codes) of a coded column)
+        for column in block:
+            if isinstance(column, tuple):
+                table = _text_table(column[1])
+                fields.append((len(table), (table, column[0])))
+            else:
+                fields.append((_WORDS, column.astype(float, copy=False)))
+        rows = len(block[0][0] if isinstance(block[0], tuple) else block[0])
+        spans = sum(span for span, _ in fields)
+        # one row per word of a cell, so that a column's words are whole rows, then the rows of the CSV
+        if self._words.size < spans * rows:
+            self._words = np.empty(spans * rows, "<u8")
+            self._text = bytearray(8 * spans * rows)
+        words = self._words[: spans * rows].reshape(spans, rows)
+        start = 0
+        for span, column in fields:
+            field = words[start : start + span]
+            if isinstance(column, tuple):
+                table, codes = column  # mode "clip" writes into field directly, where "raise" buffers
+                np.take(table, codes, axis=1, out=field, mode="clip")
+            else:  # a column at a time: the temporaries stay in cache
+                _float_words(column, field)
+            field[-1] |= _COMMA
+            start += span
+        words[-1] ^= _NEWLINE
+        if self._stage.shape[1] != spans:
+            self._staged = bytearray(8 * self._STEP * spans)
+            self._stage = np.frombuffer(self._staged, "<u8").reshape(self._STEP, spans)
+        end = 0
+        for i in range(0, rows, self._STEP):
+            n = min(self._STEP, rows - i)
+            self._stage[:n] = words[:, i : i + n].T
+            self._stage[n:] = 0  # rows of NUL, dropped with the pads
+            piece = self._staged.translate(None, b"\0")
+            self._text[end : end + len(piece)] = piece
+            end += len(piece)
+        return memoryview(self._text)[:end]

@@ -33,6 +33,7 @@ from .errors import ConfigError, NumericalError, check_fields, positive_frequenc
 from .scatter import LineParams, SourceConfig, guard_band, tones
 
 _NEGATIVE_ROUNDOFF_FLOOR = -1e-15
+FLAGS = ("", "guard-shifted", "guard-band")  # the flag text of each code in SpectrumTable.flag_codes
 
 
 @dataclass(frozen=True, repr=False, eq=False)
@@ -51,7 +52,7 @@ class SpectrumTable:
     """Column-oriented spectrum: one row per grid frequency.
 
     With lanes the occupation columns carry the lane axes before the grid
-    axis; omega and flags stay one entry per grid frequency.
+    axis; omega and flag_codes stay one entry per grid frequency.
     """
 
     omega: np.ndarray
@@ -59,7 +60,12 @@ class SpectrumTable:
     n_dce: np.ndarray
     n_thermal: np.ndarray
     n_mech_only: np.ndarray
-    flags: tuple[str, ...]
+    flag_codes: np.ndarray  # uint8 indices into FLAGS
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """The flag text of each row, built from flag_codes at each access."""
+        return tuple(map(FLAGS.__getitem__, self.flag_codes.tolist()))
 
 
 def thermal_occupation(omega, env: ThermalEnv):
@@ -71,9 +77,9 @@ def thermal_occupation(omega, env: ThermalEnv):
 
 
 def _resolve_guard_collisions(grid: np.ndarray, cfg: SourceConfig, step=None) -> tuple[np.ndarray, np.ndarray]:
-    # shift points at guard-band edges of scatter.tones outward by one grid step; tag what
-    # moved. Each tone shifts from the original point, and a later tone overrides an earlier one.
-    flags = np.full(len(grid), "", dtype="<U13")
+    # shift points at guard-band edges of scatter.tones outward by one grid step; tag what moved by
+    # its code in FLAGS. Each tone shifts from the original point, and a later tone overrides an earlier one.
+    codes = np.zeros(len(grid), np.uint8)
     guard = guard_band(cfg.window_time)
     if step is None:
         step = grid[1] - grid[0] if len(grid) > 1 else guard
@@ -84,13 +90,15 @@ def _resolve_guard_collisions(grid: np.ndarray, cfg: SourceConfig, step=None) ->
         shifted = np.where(w >= nu, w + step, w - step)
         blocked = np.abs(shifted - nu) < guard
         out[idx[~blocked]] = shifted[~blocked]
-        flags[idx[blocked]] = "guard-band"
-        flags[idx[~blocked]] = "guard-shifted"
-    return out, flags
+        codes[idx[blocked]] = 2  # guard-band
+        codes[idx[~blocked]] = 1  # guard-shifted
+    return out, codes
 
 
 def _on_grid(column, live):
     """A column over the live grid points, spread over the whole grid (last axis) with NaN elsewhere."""
+    if live.all():
+        return column
     out = np.full(column.shape[:-1] + live.shape, np.nan)
     out[..., live] = column
     return out
@@ -123,8 +131,8 @@ def output_spectrum(
         raise ConfigError("grid must be strictly increasing")
     try:  # an overflowing or invalid evaluation is one NumericalError, not numpy warnings
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            omega, flags = _resolve_guard_collisions(w, cfg, step)
-            live = flags != "guard-band"
+            omega, codes = _resolve_guard_collisions(w, cfg, step)
+            live = codes != 2  # not guard-band
             w = omega[live]
             # |R|^2, |S1|^2, |S2|^2, |h_res|^2 and the delta_c = 0 |h_res|^2
             r_sq, s1_sq, s2_sq, h_sq, h_static_sq = (np.abs(c) ** 2 for c in dressed_coefficients(w, cav, cfg, line))
@@ -141,9 +149,9 @@ def output_spectrum(
         raise NumericalError(f"floating-point breakdown in the spectrum evaluation: {exc}") from exc
     # a lane field that enters only some terms leaves the others without its axes
     n_total, n_dce, n_thermal, n_mech_only = np.broadcast_arrays(n_total, n_dce, n_thermal, n_mech_only)
-    overflow = ~np.isfinite(np.stack([n_total, n_dce, n_thermal, n_mech_only]))
-    if np.any(overflow):
-        raise NumericalError(f"non-finite occupation at {int(np.sum(overflow.any(axis=0)))} rows")
+    finite = np.isfinite(n_total) & np.isfinite(n_dce) & np.isfinite(n_thermal) & np.isfinite(n_mech_only)
+    if not finite.all():
+        raise NumericalError(f"non-finite occupation at {int(np.sum(~finite))} rows")
     bad = n_mech_only < _NEGATIVE_ROUNDOFF_FLOOR
     if np.any(bad):
         raise NumericalError(f"mechanical-only flux negative beyond round-off at {int(np.sum(bad))} rows")
@@ -155,5 +163,5 @@ def output_spectrum(
         n_dce=_on_grid(n_dce, live),
         n_thermal=_on_grid(n_thermal, live),
         n_mech_only=_on_grid(n_mech_only, live),
-        flags=tuple(flags.tolist()),
+        flag_codes=codes,
     )

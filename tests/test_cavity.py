@@ -336,7 +336,7 @@ def test_dressed_coefficients_unimodularity_enforced():
 def test_dressed_coefficients_reflection_bound(monkeypatch, defect, refused):
     # the production check refuses ||R| - 1| above 1e-10, not only a NaN reflection
     exact = cavity._reflection
-    monkeypatch.setattr(cavity, "_reflection", lambda w, den, cav: (1.0 + defect) * exact(w, den, cav))
+    monkeypatch.setattr(cavity, "_reflection", lambda trip, den: (1.0 + defect) * exact(trip, den))
     grid = np.linspace(0.1, 0.9, 5) * OMEGA_M
     if refused:
         with pytest.raises(UnderflowError, match="lossless-reflection invariant violated"):

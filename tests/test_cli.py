@@ -6,6 +6,7 @@ import functools
 import json
 import math
 import os
+import platform
 import stat
 import subprocess
 import sys
@@ -562,6 +563,7 @@ def _cell_by_cell_text(path, command):
     if command == "decompose":
         columns.append("n_dce_electrical")
     lines = [f"# {line}" for line in cli._header(sc, command)] + [",".join(columns + ["flags"])]
+    flags = table.flags
     for i in range(len(table.omega)):
         row = [
             table.omega[i] / sc.geometry.omega_m,
@@ -572,7 +574,7 @@ def _cell_by_cell_text(path, command):
         ]
         if command == "decompose":
             row.append(table.n_dce[i] - table.n_mech_only[i])
-        lines.append(",".join(_cell(v) for v in row + [table.flags[i]]))
+        lines.append(",".join(_cell(v) for v in row + [flags[i]]))
     expected = "\n".join(lines) + "\n"
     assert ",nan," in expected
     return expected
@@ -604,8 +606,8 @@ def test_block_boundaries_keep_cell_by_cell_bytes(
     tmp_path, monkeypatch, cell_by_cell, command, points, block_rows, numpy_rows
 ):
     # each block is evaluated on its own (one output_spectrum call, with the whole grid's guard
-    # shift step) and formatted, so 1- and 7-row blocks run on 200 rows. 20 000 rows span three
-    # default blocks, all three, the guard rows of the last one too, formatted in numpy; 200 rows
+    # shift step) and formatted, so 1- and 7-row blocks run on 200 rows. 20 000 rows span five
+    # default blocks, all five, the guard rows of the last one too, formatted in numpy; 200 rows
     # are one block, formatted with %. numpy-2003 formats the 20 000 rows in ten blocks in numpy
     path, expected = cell_by_cell(command, points)
     if block_rows is not None:
@@ -619,14 +621,20 @@ def test_block_boundaries_keep_cell_by_cell_bytes(
 
 def test_short_last_block_of_a_large_table_is_formatted_in_numpy(tmp_path, monkeypatch, cell_by_cell):
     # the formatter is chosen per table: the last 3616 rows of 20 000, fewer than _NUMPY_ROWS and
-    # holding the NaN guard rows, go through numpy as the first two blocks do
+    # holding the NaN guard rows, go through numpy as the first four blocks do, in the same buffers
     monkeypatch.delattr(os, "fork")  # every block runs in this process, where the calls are seen
     path, expected = cell_by_cell("spectrum", 20_000)
-    rows, block_text = [], floattext.block_text
-    monkeypatch.setattr(floattext, "block_text", lambda block: rows.append(len(block[0])) or block_text(block))
+    rows, formatter = [], floattext.BlockFormatter.__call__
+
+    def recording(self, block):
+        rows.append((id(self), len(block[0])))
+        return formatter(self, block)
+
+    monkeypatch.setattr(floattext.BlockFormatter, "__call__", recording)
     out = tmp_path / "spectrum.csv"
     assert cli.main(["spectrum", "--scenario", str(path), "--out", str(out)]) == 0
-    assert rows == [8192, 8192, 3616]
+    assert [n for _, n in rows] == [4096] * 4 + [3616]
+    assert len({formatter_id for formatter_id, _ in rows}) == 1
     assert out.read_bytes() == expected
 
 
@@ -649,6 +657,27 @@ def test_stdout_bytes_equal_file_bytes(tmp_path, capsys, monkeypatch, args):
     capsys.readouterr()
     assert cli.main(args + ["--out", "-"]) == 0
     assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("block_rows", [None, 4], ids=["one-block", "forked"])
+def test_non_ascii_scenario_name_is_written_as_utf8(tmp_path, capsysbinary, monkeypatch, block_rows):
+    # the writer encodes the header itself: the same UTF-8 bytes to a file and to stdout, in one block or
+    # in four blocks split between this process and a forked child
+    name = "Ωmega cavité ☃"
+    path = _write_scenario(tmp_path, lambda raw: raw.__setitem__("name", name))
+    if block_rows is not None:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    argv = ["spectrum", "--scenario", str(path), "--points", "16"]
+    out = tmp_path / "table.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    capsysbinary.readouterr()
+    assert cli.main(argv + ["--out", "-"]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+    assert f"\n# scenario: {name}\n".encode() in out.read_bytes()
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 4096)
+    one_block = tmp_path / "one-block.csv"
+    assert cli.main(argv + ["--out", str(one_block)]) == 0
+    assert out.read_bytes() == one_block.read_bytes()
 
 
 @pytest.fixture
@@ -749,14 +778,14 @@ def test_failing_child_formatter_exit_code_2(tmp_path, capsys, monkeypatch, fork
     # the child's blocks raise; the parent's are written: one error line, exit 2, and no child left.
     # An existing --out file keeps its bytes, and no temporary file is left next to it
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 8)
-    parent, block_text = os.getpid(), cli._block_text
+    parent, percent_text = os.getpid(), cli._percent_text
 
-    def child_fails(cells, start):
+    def child_fails(block):
         if os.getpid() != parent:
             raise RuntimeError("formatter failed")
-        return block_text(cells, start)
+        return percent_text(block)
 
-    monkeypatch.setattr(cli, "_block_text", child_fails)
+    monkeypatch.setattr(cli, "_percent_text", child_fails)
     table = tmp_path / "table.csv"
     table.write_bytes(b"old table\n")
     out = "-" if target == "stdout" else str(table)
@@ -824,7 +853,7 @@ def test_out_fifo_is_written_in_place(tmp_path, capsys):
 
 
 def test_closed_stdout_during_fork_path_leaves_no_child(tmp_path):
-    # the reader closes the pipe while the parent writes its half of 20 000 rows (3 blocks): the
+    # the reader closes the pipe while the parent writes its half of 20 000 rows (5 blocks): the
     # parent kills and reaps the child, and the command exits 2 with one error line
     code = (
         "import os, sys\nfrom fbar_dce import cli\nrc = cli.main(sys.argv[2:])\n"
@@ -905,7 +934,7 @@ def test_percent_template_matches_cell_rule(x, b, i):
 
 def _numpy_cells(values):
     # the numpy formatter's text of one float column, a cell per line
-    return floattext.block_text([np.asarray(values, dtype=float)]).splitlines()
+    return bytes(floattext.BlockFormatter()([np.asarray(values, dtype=float)])).decode().splitlines()
 
 
 def test_numpy_formatter_matches_percent_on_the_float_edges():
@@ -921,7 +950,8 @@ def test_numpy_formatter_writes_a_block_of_fallback_cells():
 @pytest.mark.parametrize("value", [1.0, -2.5e-300, 0.00012181719550879144, math.nan, 12345678901234567.0])
 def test_numpy_formatter_writes_a_one_row_block(value):
     cells = [np.array([value]), np.array([True]), np.array([-7]), ("guard-band",), np.array([-value])]
-    assert floattext.block_text(cells) == ",".join(_cell(column[0]) for column in cells) + "\n"
+    block = cli._precomputed(cells)[1](0, 1)
+    assert bytes(floattext.BlockFormatter()(block)).decode() == ",".join(_cell(column[0]) for column in cells) + "\n"
 
 
 def _significant(text):
@@ -1001,9 +1031,15 @@ def _package_env():
 _FRESH_CODE = """\
 import hashlib, json, os, sys
 from fbar_dce import cli
+forks, fork = [], os.fork
+def recording_fork():  # whether the numpy formatter is loaded when a fork is made
+    forks.append("fbar_dce.floattext" in sys.modules)
+    return fork()
+os.fork = recording_fork
 runs = {}
 for name, argv in json.loads(sys.argv[2]).items():
     out = os.path.join(sys.argv[1], name + ".csv")
+    forks.clear()
     rc = cli.main(argv + ["--out", out])
     digest = hashlib.sha256(open(out, "rb").read()).hexdigest() if os.path.exists(out) else None
     runs[name] = {
@@ -1012,6 +1048,7 @@ for name, argv in json.loads(sys.argv[2]).items():
         "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules),
         "numpy_ma": "numpy.ma" in sys.modules,
         "floattext": "fbar_dce.floattext" in sys.modules,
+        "floattext_at_fork": list(forks),
         "modules": sorted(m for m in sys.modules if m.startswith("fbar_dce.")),
     }
 threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
@@ -1024,7 +1061,8 @@ def _run_fresh(out_dir, argvs, blas_threads=None):
 
     The interpreter sees OPENBLAS_NUM_THREADS=blas_threads, or no such variable for None. Its report:
     "runs" maps each name to the exit code, the sha256 of the table, whether a scipy module, numpy.ma
-    and the numpy float formatter are loaded afterwards, and the fbar_dce modules loaded by then;
+    and the numpy float formatter are loaded afterwards, whether the formatter was loaded at each fork
+    the command made, and the fbar_dce modules loaded by then;
     "threads" is the OS thread count at its end (None where /proc/self/task is missing) and "setting"
     the OPENBLAS_NUM_THREADS it saw.
     """
@@ -1094,6 +1132,50 @@ def test_only_large_blocks_load_the_numpy_formatter(default_run, two_thread_run)
     assert default_run["runs"]["decompose-20000"]["rc"] == 0
 
 
+def test_the_numpy_formatter_is_imported_before_the_fork(default_run):
+    # the forked child inherits the module: it neither compiles it nor builds its tables again
+    forks = {name: run["floattext_at_fork"] for name, run in default_run["runs"].items() if run["floattext_at_fork"]}
+    assert forks == {"decompose-20000": [True]}
+
+
+_FAULT_CODE = """\
+import json, os, resource, sys
+from fbar_dce import cli, flux
+del os.fork  # every block runs in this process, where its faults are counted
+marks, evaluate = [], flux.output_spectrum
+def counted(*args):  # the minor page faults so far, at the start of each block
+    marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return evaluate(*args)
+flux.output_spectrum = counted
+rc = cli.main(["decompose", "--scenario", "high-q", "--points", str(20 * cli._BLOCK_ROWS)])
+marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+print(json.dumps({"rc": rc, "faults": [b - a for a, b in zip(marks, marks[1:])]}), file=sys.stderr)
+"""
+# minor page faults of each block after the first: 26 in the second and 0 after it on a 2-vCPU x86-64 VM (glibc
+# 2.36, numpy 2.4.6), where the heap layout was seen to move the second or third block up to ~190. ~1050 a block
+# when each block allocated its buffers afresh and its text went through str; a word matrix allocated afresh for
+# each block alone takes ~440 and ~300 in the second and third, until glibc raises its mmap threshold to its size
+_BLOCK_FAULTS = 250
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the bound is measured on glibc's allocator")
+def test_blocks_after_the_first_take_few_page_faults():
+    # a 20-block table in one fresh process: the blocks after the first reuse the memory of the first, where
+    # buffers mapped afresh for every block, or freed and given back to the system, are paid for in page faults.
+    # The table goes to stdout, so no path of this run moves the process's heap layout
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_CODE],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_package_env(),
+        check=True,
+    )
+    report = json.loads(proc.stderr.splitlines()[-1])
+    assert report["rc"] == 0 and len(report["faults"]) == 20
+    assert max(report["faults"][1:]) <= _BLOCK_FAULTS, report["faults"]
+
+
 def test_command_runs_one_blas_thread_by_default(default_run):
     assert default_run["setting"] == "1"
     if default_run["threads"] is None:
@@ -1117,6 +1199,8 @@ def test_blas_thread_count_keeps_squeeze_bytes(default_run, two_thread_run, dim)
 _UNREACHED_IN_SRC = {
     # perfbench's tracer wraps it by name (test_perfbench_contract::test_every_traced_name_resolves)
     "cavity.reflection_coefficient",
+    # perfbench's tracer reads SpectrumTable.flags by name to count the guard rows; commands take flag_codes
+    "flux.flags",
 }
 
 

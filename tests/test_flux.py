@@ -21,6 +21,7 @@ from fbar_dce.cavity import CavityParams, dressed_coefficients
 from fbar_dce.constants import HBAR, K_B, TWO_PI
 from fbar_dce.errors import ConfigError, NumericalError, ValidityError
 from fbar_dce.flux import (
+    FLAGS,
     ThermalEnv,
     _resolve_guard_collisions,
     output_spectrum,
@@ -347,9 +348,9 @@ def test_guard_resolution_matches_scalar_loop():
     later_tone_blocks_earlier_shift = False
     for grid, cfg in cases:
         want_omega, want_flags = _scalar_guard_resolution(grid, cfg)
-        omega, flags = _resolve_guard_collisions(grid, cfg)
+        omega, codes = _resolve_guard_collisions(grid, cfg)
         assert np.array_equal(omega, want_omega)
-        assert flags.tolist() == want_flags
+        assert [FLAGS[code] for code in codes.tolist()] == want_flags
         later_tone_blocks_earlier_shift |= any(
             f == "guard-band" and w != g for f, w, g in zip(want_flags, want_omega, grid)
         )
@@ -363,10 +364,10 @@ def test_guard_resolution_keeps_duplicated_frequency_collision():
     raw["grid"]["omega_max_hz"] = 4.199e9
     sc = scenario_from_raw(raw)
     grid, cfg = grid_array(sc), source_config(sc)
-    omega, flags = _resolve_guard_collisions(grid, cfg)
+    omega, codes = _resolve_guard_collisions(grid, cfg)
     want_omega, want_flags = _scalar_guard_resolution(grid, cfg)
     assert np.array_equal(omega, want_omega)
-    assert flags.tolist() == want_flags
+    assert [FLAGS[code] for code in codes.tolist()] == want_flags
     assert np.sum(np.diff(omega) == 0.0) == 1
 
 

@@ -58,7 +58,7 @@ MUTANTS = {
     "guard-first-tone-wins": Mutant(
         "flux.py",
         "idx = np.flatnonzero(np.abs(grid - nu) < guard)",
-        'idx = np.flatnonzero((np.abs(grid - nu) < guard) & (flags == ""))',
+        "idx = np.flatnonzero((np.abs(grid - nu) < guard) & (codes == 0))",
         (_GUARD_LOOP,),
     ),
     # squeeze: the even rows keep every column, so BLAS sums each row as on the full basis
@@ -86,8 +86,8 @@ MUTANTS = {
     # the forked child formats the blocks from mid on, so none is dropped or repeated between the halves
     "fork-child-skips-first-block": Mutant(
         "cli.py",
-        "for start in starts[mid:]",
-        "for start in starts[mid + 1 :]",
+        "texts(starts[mid:])",
+        "texts(starts[mid + 1 :])",
         (
             "tests/test_cli.py::test_fork_path_keeps_cell_by_cell_bytes",
             "tests/test_cli.py::test_block_boundaries_keep_cell_by_cell_bytes",
@@ -157,6 +157,20 @@ MUTANTS = {
         "        words[3, fallback] = 0\n",
         "",
         ("tests/test_cli.py::test_cells_near_a_rounding_tie_are_written_by_python",),
+    ),
+    # the numpy formatter holds its word matrix for the table, so the blocks after the first fault in no fresh pages
+    "formatter-words-per-block": Mutant(
+        "floattext.py",
+        "        if self._words.size < spans * rows:\n",
+        "        if True:\n",
+        ("tests/test_cli.py::test_blocks_after_the_first_take_few_page_faults",),
+    ),
+    # the formatter is made before the fork, so its module is imported in one process and not in both
+    "formatter-import-after-fork": Mutant(
+        "cli.py",
+        "    text = _formatter(rows)\n",
+        "    text = lambda cells: _formatter(rows)(cells)\n",
+        ("tests/test_cli.py::test_the_numpy_formatter_is_imported_before_the_fork",),
     ),
     # squeeze and brent are imported by the commands that run them, not by every command
     "eager-squeeze-import": Mutant(
