@@ -91,11 +91,7 @@ def build(args, run=run_perfbench) -> dict:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-    with tempfile.TemporaryDirectory() as tmp:
-        trees = {"against": export(args.against, Path(tmp)), "head": ROOT}
-        lines = {side: src_lines(tree) for side, tree in trees.items()}
-        results = run_pairs(trees, args.pairs, lambda tree: run(tree, args.workload, args.seconds, args.seed))
-    return {
+    doc = {  # the checkout as it is when the runs start
         "pr": args.pr,
         "workload": args.workload,
         "pairs": args.pairs,
@@ -104,9 +100,12 @@ def build(args, run=run_perfbench) -> dict:
         "revisions": {"head": _git("rev-parse", "HEAD"), "against": _git("rev-parse", args.against)},
         "clean_tree": _git("status", "--porcelain") == "",
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": numpy.__version__},
-        "src_lines": lines,
-        **record(results, better),
     }
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"against": export(args.against, Path(tmp)), "head": ROOT}
+        doc["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+        results = run_pairs(trees, args.pairs, lambda tree: run(tree, args.workload, args.seconds, args.seed))
+    return doc | record(results, better)
 
 
 def main(argv=None) -> int:
