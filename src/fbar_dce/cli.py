@@ -37,6 +37,9 @@ _BLOCK_ROWS = 4096
 # a table of fewer rows is formatted with %: below ~2000 rows the numpy formatter's import and set-up
 # (7-10 ms, mostly its tables) cost more than it saves, and the default 2000-point grid stays clear of that cost
 _NUMPY_ROWS = 4096
+# a table of this many blocks or more (more than 8192 rows) is split over a forked child: at 6000-8192 rows the
+# fork's fixed cost took 9-22 ms more wall time and 19-33 ms more CPU time than the command alone
+_FORK_BLOCKS = 3
 
 
 def _column(cells):
@@ -85,14 +88,14 @@ def _write_text(fh, header: bytes, table) -> int:
     """Write the header and the rows a block at a time to a binary file; return the child's exit code (0 if none).
 
     The formatter is made once per table, before any fork, so the numpy
-    formatter's module is imported in one process only. A table of two or
-    more blocks is evaluated and formatted on two processes: a forked child
-    takes the second half of the blocks into an anonymous binary temporary
-    file while this process writes the first half, then appends the child's
-    bytes as they are (shutil.copyfileobj, one bounded chunk at a time). A
-    ConfigError or NumericalError in the child (exit code 2 or 3, its message
-    in the temporary file) is raised again here. Where os.fork is missing the
-    blocks run here.
+    formatter's module is imported in one process only. A table of
+    _FORK_BLOCKS or more blocks is evaluated and formatted on two processes:
+    a forked child takes the second half of the blocks into an anonymous
+    binary temporary file while this process writes the first half, then
+    appends the child's bytes as they are (shutil.copyfileobj, one bounded
+    chunk at a time). A ConfigError or NumericalError in the child (exit code
+    2 or 3, its message in the temporary file) is raised again here. Where
+    os.fork is missing the blocks run here.
     """
     rows, block = table
     text = _formatter(rows)
@@ -102,7 +105,7 @@ def _write_text(fh, header: bytes, table) -> int:
 
     starts = range(0, rows, _BLOCK_ROWS)
     mid = len(starts) // 2
-    if mid == 0 or not hasattr(os, "fork"):
+    if len(starts) < _FORK_BLOCKS or not hasattr(os, "fork"):
         blocks = texts(starts)
         first = next(blocks, b"")  # a failure in the first block writes nothing
         fh.write(header)

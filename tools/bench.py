@@ -3,13 +3,15 @@
     python tools/bench.py --pr 31 --against e6528f4 --pairs 10 --workload grid-100x [--seed 1]
 
 REV is exported with `git archive` into a temporary directory. Each pair runs
-`perfbench/run.py --workload W --seconds S --seed N`, unchanged, once in each tree,
-the side that goes first alternating from pair to pair. The last line of each
-run's output is its JSON result; per metric the record keeps each side's
-values, median and quartiles, and the number of pairs this checkout won,
-lower or higher being better as BENCHMARK.json says. The record also holds
-both revisions, whether this checkout's tree was clean, the host's `nproc`,
-the Python and numpy versions, and the line count of each side's `src/`.
+`perfbench/run.py --workload W --seed N`, unchanged and for its own default
+run length, once in each tree, the side that goes first alternating from pair
+to pair. The last line of each run's output is its JSON result; per metric
+the record keeps each side's values, median and quartiles, and the number of
+pairs this checkout won, lower or higher being better as BENCHMARK.json says.
+The record also holds both revisions, whether this checkout's tree was clean,
+and each side's host and source record (`nproc`, Python, numpy, scipy and
+BLAS versions, lines of `src/`) as the first run in that tree wrote it to
+`perfbench/out/run-W-seedN-trace0.json`.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -41,15 +41,12 @@ def export(rev: str, into: Path) -> Path:
     return into
 
 
-def src_lines(tree: Path) -> int:
-    return sum(len(p.read_text().splitlines()) for p in sorted((tree / "src").rglob("*.py")))
-
-
-def run_perfbench(tree: Path, workload: str, seconds: float, seed: int) -> dict:
-    """The JSON result of one `perfbench/run.py` run in `tree`."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(seconds), "--seed", str(seed)]
+def run_perfbench(tree: Path, workload: str, seed: int) -> dict:
+    """The JSON result of one `perfbench/run.py` run in `tree`, with the host and source record the run wrote."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    run = json.loads((tree / "perfbench" / "out" / f"run-{workload}-seed{seed}-trace0.json").read_text())
+    return json.loads(proc.stdout.strip().splitlines()[-1]) | {"record": run["record"]}
 
 
 def run_pairs(trees: dict, pairs: int, run) -> dict:
@@ -67,7 +64,8 @@ def _summary(values: list[float]) -> dict:
 
 
 def record(results: dict, better: dict) -> dict:
-    """Per metric of the runs: unit, direction, each side's summary, and the pairs "head" won over "against"."""
+    """Each side's host and source record; per metric of the runs, unit, direction, each side's summary, and the
+    pairs "head" won over "against"; each run's correctness and failures."""
     metrics = {}
     for name, first in results["head"][0]["metrics"].items():
         sides = {side: [run["metrics"][name]["value"] for run in runs] for side, runs in results.items()}
@@ -82,29 +80,25 @@ def record(results: dict, better: dict) -> dict:
     checks = {
         side: {key: [run[key] for run in runs] for key in ("correct", "failed")} for side, runs in results.items()
     }
-    return {"metrics": metrics, "checks": checks}
+    records = {side: runs[0]["record"] for side, runs in results.items()}
+    return {"record": records, "metrics": metrics, "checks": checks}
 
 
 def build(args, run=run_perfbench) -> dict:
-    """The BENCH record of `args`' pairs, each run being run(tree, workload, seconds, seed)."""
-    import numpy
-
+    """The BENCH record of `args`' pairs, each run being run(tree, workload, seed)."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     doc = {  # the checkout as it is when the runs start
         "pr": args.pr,
         "workload": args.workload,
         "pairs": args.pairs,
-        "seconds": args.seconds,
         "seed": args.seed,
         "revisions": {"head": _git("rev-parse", "HEAD"), "against": _git("rev-parse", args.against)},
         "clean_tree": _git("status", "--porcelain") == "",
-        "host": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": numpy.__version__},
     }
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"against": export(args.against, Path(tmp)), "head": ROOT}
-        doc["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
-        results = run_pairs(trees, args.pairs, lambda tree: run(tree, args.workload, args.seconds, args.seed))
+        results = run_pairs(trees, args.pairs, lambda tree: run(tree, args.workload, args.seed))
     return doc | record(results, better)
 
 
@@ -113,8 +107,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="the N of BENCH_<N>.json")
     parser.add_argument("--against", required=True, help="git revision to compare with")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workload", default="grid-100x")
-    parser.add_argument("--seconds", type=float, default=15.0, help="perfbench/run.py --seconds")
+    parser.add_argument("--workload", default="grid-100x", help="one perfbench workload")
     parser.add_argument("--seed", type=int, default=0, help="perfbench/run.py --seed")
     args = parser.parse_args(argv)
     doc = build(args)

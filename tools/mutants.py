@@ -93,6 +93,13 @@ MUTANTS = {
             "tests/test_cli.py::test_block_boundaries_keep_cell_by_cell_bytes",
         ),
     ),
+    # a table of two blocks is written by one process: the fork would cost more than it saves
+    "fork-from-two-blocks": Mutant(
+        "cli.py",
+        "_FORK_BLOCKS = 3\n",
+        "_FORK_BLOCKS = 2\n",
+        ("tests/test_cli.py::test_fork_path_keeps_cell_by_cell_bytes",),
+    ),
     # a ConfigError or NumericalError in the child's blocks reaches the parent with its exit code and message
     "fork-child-error-as-formatter-failure": Mutant(
         "cli.py",
