@@ -12,6 +12,8 @@ import json
 import subprocess
 from pathlib import Path
 
+from numpy._core._multiarray_umath import __cpu_features__
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench", ROOT / "tools" / "bench.py")
 bench = importlib.util.module_from_spec(_spec)
@@ -43,11 +45,19 @@ def test_bench_record_on_a_stubbed_runner(monkeypatch):
     sides = ["head" if tree == bench.ROOT else "against" for tree, *_ in calls]
     assert sides == ["against", "head", "head", "against"] * 2
     assert {tuple(call[1:]) for call in calls} == {("grid-100x", 3)}
-    assert set(doc) == {"pr", "workload", "pairs", "seed", "revisions", "clean_tree", "record", "metrics", "checks"}
+    assert set(doc) == {
+        "pr", "workload", "pairs", "seed", "revisions", "clean_tree", "host", "record", "metrics", "checks"
+    }
     assert doc["revisions"] == {"head": "sha-of-HEAD", "against": "sha-of-abc123"}
     assert doc["clean_tree"] is True
     assert doc["record"] == {"against": {"nproc": 2, "src_lines": 1990}, "head": {"nproc": 2, "src_lines": 2000}}
     assert doc["checks"] == {side: {"correct": [True] * 4, "failed": [0] * 4} for side in ("against", "head")}
+    # the host fields, read in this process: SIMD features as numpy lists them, and OpenBLAS's core or None
+    assert set(doc["host"]) == {"numpy_simd", "openblas_core"}
+    assert doc["host"]["numpy_simd"] == [name for name, found in __cpu_features__.items() if found]
+    core = doc["host"]["openblas_core"]
+    assert core is None or (isinstance(core, str) and core.isprintable() and core)
+    assert json.loads(json.dumps(doc["host"])) == doc["host"]
 
     cpu, rows = doc["metrics"]["cpu_p50_s"], doc["metrics"]["rows_per_s"]
     assert (cpu["unit"], cpu["better"], rows["better"]) == ("s", "lower", "higher")

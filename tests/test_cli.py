@@ -161,6 +161,60 @@ def test_closed_stdout_exit_code_2(points, read):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+def _run_as_process(argv, code=None):
+    """The finished `python -m fbar_dce.cli argv` (or `python -c code argv`), stdout a block-buffered pipe."""
+    env = _package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    command = ["-m", "fbar_dce.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *command, *argv], capture_output=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["one-block", "forked"])
+def test_process_stdout_bytes_equal_main(capsysbinary, forked):
+    # the process entry leaves through os._exit once main returns: its flush still delivers every byte
+    points = cli._FORK_BLOCKS * cli._BLOCK_ROWS if forked else 16
+    argv = ["decompose", "--scenario", "high-q", "--points", str(points)]
+    proc = _run_as_process(argv)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert cli.main(argv) == 0
+    assert proc.stdout == capsysbinary.readouterr().out
+
+
+@pytest.mark.parametrize("code", [2, 3])
+def test_process_error_exit_keeps_its_stderr_line(tmp_path, capsys, code):
+    scenario = "no-such-preset" if code == 2 else str(_write_scenario(tmp_path, _overflowing_frequency))
+    argv = ["spectrum", "--scenario", scenario, "--points", "16"]
+    proc = _run_as_process(argv)
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (code, b"", err)
+
+
+def test_process_with_stdout_closed_writes_its_out_file(tmp_path):
+    # descriptor 1 is closed before Python starts, so sys.stdout is None: the entry flushes the streams it has
+    out = tmp_path / "table.csv"
+    argv = ["spectrum", "--points", "16", "--out", str(out)]
+    closed = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "fbar_dce.cli", *argv]
+    proc = subprocess.run(closed, stderr=subprocess.PIPE, env=_package_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert cli.main(argv[:-1] + [str(tmp_path / "in-process.csv")]) == 0
+    assert out.read_bytes() == (tmp_path / "in-process.csv").read_bytes()
+
+
+def test_process_entry_skips_atexit_handlers():
+    # os._exit ends the process without the interpreter's teardown, atexit handlers included: a handler
+    # registered before the module runs as __main__ writes nothing
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(sys.stderr.write, 'atexit handler ran\\n')\n"
+        "runpy.run_module('fbar_dce.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = _run_as_process(["spectrum", "--points", "16"], code)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(f"# fbar-dce {__version__} spectrum\n".encode())
+
+
 def test_negative_decomposition_exit_code_3(tmp_path, capsys):
     # Away from the quarter-period drive phase the mechanical/electrical
     # split is ill-defined and the spectrum reports a numerical failure.
@@ -1203,6 +1257,9 @@ _UNREACHED_IN_SRC = {
     "cavity.reflection_coefficient",
     # perfbench's tracer reads SpectrumTable.flags by name to count the guard rows; commands take flag_codes
     "flux.flags",
+    # the process entry, which ends the process: it runs only as `python -m fbar_dce.cli` or `fbar-dce`, and
+    # test_process_entry_skips_atexit_handlers runs it in a subprocess
+    "cli.entry",
 }
 
 

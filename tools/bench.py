@@ -11,7 +11,10 @@ pairs this checkout won, lower or higher being better as BENCHMARK.json says.
 The record also holds both revisions, whether this checkout's tree was clean,
 and each side's host and source record (`nproc`, Python, numpy, scipy and
 BLAS versions, lines of `src/`) as the first run in that tree wrote it to
-`perfbench/out/run-W-seedN-trace0.json`.
+`perfbench/out/run-W-seedN-trace0.json`. Both trees run on this interpreter,
+so the host fields they share are recorded once: numpy's SIMD features found,
+and the core the OpenBLAS bundled with numpy chose (`null` where that library
+or its query is missing).
 """
 
 from __future__ import annotations
@@ -39,6 +42,25 @@ def export(rev: str, into: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
         tar.extractall(into, filter="data")
     return into
+
+
+def host() -> dict:
+    """The SIMD features numpy found on this host, in numpy's order, and the core name of numpy's bundled OpenBLAS."""
+    import ctypes
+
+    import numpy
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    core, package = None, Path(numpy.__file__).parent
+    for lib in sorted([*package.parent.glob("numpy.libs/*scipy_openblas*"), *package.glob(".dylibs/*scipy_openblas*")]):
+        try:  # numpy has loaded the library already, so this opens the same copy
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+        break
+    return {"numpy_simd": [name for name, found in __cpu_features__.items() if found], "openblas_core": core}
 
 
 def run_perfbench(tree: Path, workload: str, seed: int) -> dict:
@@ -95,6 +117,7 @@ def build(args, run=run_perfbench) -> dict:
         "seed": args.seed,
         "revisions": {"head": _git("rev-parse", "HEAD"), "against": _git("rev-parse", args.against)},
         "clean_tree": _git("status", "--porcelain") == "",
+        "host": host(),
     }
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"against": export(args.against, Path(tmp)), "head": ROOT}

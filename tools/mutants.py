@@ -127,6 +127,13 @@ MUTANTS = {
         "            raise\n        code = os.waitstatus_to_exitcode(",
         ("tests/test_cli.py::test_closed_stdout_during_fork_path_leaves_no_child",),
     ),
+    # the process entry leaves through os._exit, without the interpreter's teardown and its atexit handlers
+    "entry-tears-down": Mutant(
+        "cli.py",
+        "    os._exit(code)\n\n\nif __name__",
+        "    sys.exit(code)\n\n\nif __name__",
+        ("tests/test_cli.py::test_process_entry_skips_atexit_handlers",),
+    ),
     # --out over a regular file goes through a temporary file, so a failed command keeps the old file
     "out-written-in-place": Mutant(
         "cli.py",
