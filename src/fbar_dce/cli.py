@@ -17,8 +17,8 @@ significant digits so identical inputs produce byte-identical outputs.
 A command run as a process (`fbar-dce`, `python -m fbar_dce.cli`) goes through
 `entry`: once `main` has returned, stdout and stderr are flushed and the
 process leaves through `os._exit`, skipping the interpreter's teardown (module
-clean-up and the final garbage collections over numpy's heap: 20-25 ms of a
-command, 45-60 ms of a forked 200 000-row table). `atexit` handlers do not run
+clean-up and the final garbage collections over numpy's heap: ~20 ms of a
+command, ~40 ms of a forked 200 000-row table). `atexit` handlers do not run
 after it, so a tool that needs them (coverage.py, a profiler) calls `main` in
 process, which returns the exit code.
 """
