@@ -12,39 +12,36 @@ R, S1, S2 and h over a frequency array that the flux assembly consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .constants import TWO_PI
-from .errors import ConfigError, ConvergenceError, UnderflowError, check_fields, positive_frequencies
-from .scatter import LineParams, SourceConfig, TimeVaryingCap, h_coefficient, s_coefficient
+from .errors import ConfigError, ConvergenceError, UnderflowError, positive_frequencies
+from .scatter import LineParams, SourceConfig, h_coefficient, s_coefficient
 
 _MAX_REFINE_ITERATIONS = 200
 _RESIDUAL_RTOL = 1e-9  # on |tan(k*d_eff) - omega_c/omega| relative to omega_c/omega
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class CavityParams:
-    """Cavity geometry and coupling.
-
-    d_eff and omega_0 are derived on construction: d_eff = length_d + l_eff
-    and omega_0 = 2*pi*v_light/d_eff (the frequency whose round-trip phase
-    advance through d_eff is one full turn).
-    """
+class CavityParams(NamedTuple):
+    """Cavity geometry and coupling; d_eff and omega_0 are derived by `cavity_params`, its one builder."""
 
     length_d: float
     v_light: float
     omega_coupling: float
     l_eff: float
-    d_eff: float = field(init=False)
-    omega_0: float = field(init=False)
+    d_eff: float
+    omega_0: float
 
-    def __post_init__(self):
-        check_fields(self, "cavity", positive=("length_d", "v_light", "omega_coupling"), non_negative=("l_eff",))
-        object.__setattr__(self, "d_eff", self.length_d + self.l_eff)
-        object.__setattr__(self, "omega_0", TWO_PI * self.v_light / self.d_eff)
+
+def cavity_params(length_d: float, v_light: float, omega_coupling: float, l_eff: float) -> CavityParams:
+    """The cavity with d_eff = length_d + l_eff and omega_0 = 2*pi*v_light/d_eff.
+
+    omega_0 is the frequency whose round-trip phase advance through d_eff is one full turn.
+    """
+    d_eff = length_d + l_eff
+    return CavityParams(length_d, v_light, omega_coupling, l_eff, d_eff, TWO_PI * v_light / d_eff)
 
 
 class DressedCoefficients(NamedTuple):
@@ -196,7 +193,7 @@ def dressed_coefficients(
     a_self = _mode(w, den, cav)
     s1 = s_coefficient(cfg.cap.delta_c, line.z0, w, om + w) * a_self * mode_response(om + w, cav)
     s2 = s_coefficient(cfg.cap.delta_c, line.z0, w, om - w) * np.conj(a_self) * mode_response(om - w, cav)
-    static = replace(cfg, cap=TimeVaryingCap(cfg.cap.c0, 0.0, om))
+    static = cfg._replace(cap=cfg.cap._replace(delta_c=0.0))
     h = h_coefficient(w, cfg, line) / den
     h_static = h_coefficient(w, static, line) / den
     return DressedCoefficients(r, s1, s2, h, h_static)

@@ -29,16 +29,17 @@ import argparse
 import os
 import stat
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__, cavity, flux, scatter
 from .constants import TWO_PI
 from .errors import MAX_ENTRIES, ConfigError, NumericalError, SimulationError
-from .scenario import Scenario, grid_array, load_scenario, scenario_hash, source_config, squeeze_params
+from .scenario import Scenario, check_bounds, grid_array, load_scenario, scenario_hash, source_config, squeeze_params
 
-_SWEEP_AXES = ("v_pp", "q", "z0", "delta_x")
+# each sweep axis, and the (section, raw key) whose rows of scenario._BOUNDS its lanes are checked against;
+# source_config checks delta_x
+_SWEEP_AXES = {"v_pp": ("drive", "v_pp_volts"), "q": ("geometry", "quality"), "z0": ("line", "z0_ohm"), "delta_x": None}
 
 
 _BLOCK_ROWS = 4096
@@ -269,21 +270,23 @@ def _sweep_config(sc: Scenario, axis: str, values: list[float], pin: bool):
 
     One value sets the swept field to the value itself. Several set it to an
     (n, 1) column of lanes, so a value outside a bound fails the whole batch
-    (the bounds hold for every entry). With lanes, v_pp, delta_c and z0 each
+    (the rows of scenario._BOUNDS hold for every entry). With lanes, v_pp, delta_c and z0 each
     come back as a contiguous float (n, 1) column, the unswept ones repeated:
     with those left scalar, numpy rounds some lanes differently from their
     one-value sweeps.
     """
     n = len(values)
     value = values[0] if n == 1 else np.array(values, dtype=float).reshape(n, 1)
+    if _SWEEP_AXES[axis] is not None:
+        check_bounds({_SWEEP_AXES[axis]: value})
     line, delta_x = sc.line, None
     if axis == "v_pp":
-        sc = replace(sc, drive=replace(sc.drive, v_pp=value))
+        sc = sc._replace(drive=sc.drive._replace(v_pp=value))
     elif axis == "q":
-        sc = replace(sc, geometry=replace(sc.geometry, quality=value))
+        sc = sc._replace(geometry=sc.geometry._replace(quality=value))
     elif axis == "z0":
         # bare prefactor scan: cavity dressing stays at the scenario values
-        line = replace(line, z0=value)
+        line = line._replace(z0=value)
     else:  # delta_x: the mirror amplitude itself
         delta_x = value
     cfg = source_config(sc, delta_x)
@@ -291,9 +294,9 @@ def _sweep_config(sc: Scenario, axis: str, values: list[float], pin: bool):
     def lanes(x):
         return x if n == 1 else np.full((n, 1), x, dtype=float)
 
-    drive = replace(cfg.drive, v_pp=lanes(cfg.drive.v_pp))
-    cap = replace(cfg.cap, delta_c=lanes(0.0 if pin else cfg.cap.delta_c))
-    return replace(cfg, drive=drive, cap=cap), replace(line, z0=lanes(line.z0))
+    drive = cfg.drive._replace(v_pp=lanes(cfg.drive.v_pp))
+    cap = cfg.cap._replace(delta_c=lanes(0.0 if pin else cfg.cap.delta_c))
+    return cfg._replace(drive=drive, cap=cap), line._replace(z0=lanes(line.z0))
 
 
 def _sweep_cells(sc: Scenario, args, values: list[float]) -> list[list]:

@@ -1,7 +1,7 @@
 """Exception hierarchy.
 
 Two error families map onto the CLI exit codes: configuration problems
-(bad scenario files, violated type invariants, validity-domain breaches)
+(bad scenario files, numbers outside their bounds, validity-domain breaches)
 exit with code 2, numerical failures (denominator underflow, non-converged
 root refinement, guard-band evaluation) exit with code 3.
 """
@@ -19,7 +19,7 @@ class SimulationError(Exception):
 
 
 class ConfigError(SimulationError):
-    """Invalid configuration: schema errors, violated invariants. CLI exit code 2."""
+    """Invalid configuration: schema errors, numbers outside their bounds. CLI exit code 2."""
 
 
 class ValidityError(ConfigError):
@@ -54,17 +54,3 @@ def positive_frequencies(omega, below: float = np.inf) -> np.ndarray:
         raise ConfigError(f"omega must be {bound}")
     return w
 
-
-def holds(condition) -> bool:
-    """Truth of a bound on a field: for an array of lanes, every entry must satisfy it."""
-    return condition if isinstance(condition, bool) else bool(condition.all())
-
-
-def check_fields(obj, section: str, positive=(), non_negative=()) -> None:
-    """ConfigError unless each named field of obj is > 0 (positive) or >= 0 (non_negative); NaN fails both."""
-    for name in positive:
-        if not holds(getattr(obj, name) > 0.0):
-            raise ConfigError(f"{section}.{name} must be strictly positive")
-    for name in non_negative:
-        if not holds(getattr(obj, name) >= 0.0):
-            raise ConfigError(f"{section}.{name} must be non-negative")

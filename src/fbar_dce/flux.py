@@ -23,32 +23,26 @@ lines split off and their guard bands excluded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .cavity import CavityParams, dressed_coefficients
 from .constants import HBAR, K_B
-from .errors import ConfigError, NumericalError, check_fields, positive_frequencies
+from .errors import ConfigError, NumericalError, positive_frequencies
 from .scatter import LineParams, SourceConfig, guard_band, tones
 
 _NEGATIVE_ROUNDOFF_FLOOR = -1e-15
 FLAGS = ("", "guard-shifted", "guard-band")  # the flag text of each code in SpectrumTable.flag_codes
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class ThermalEnv:
-    """Thermal environment of the incoming line."""
+class ThermalEnv(NamedTuple):
+    """Thermal environment of the incoming line: temperature >= +0.0 [K] (the loader stores -0.0 as +0.0)."""
 
     temperature: float
 
-    def __post_init__(self):
-        check_fields(self, "environment", non_negative=("temperature",))
-        object.__setattr__(self, "temperature", self.temperature + 0.0)  # -0.0 -> +0.0, so T = 0 gives x = +inf
 
-
-@dataclass(frozen=True, repr=False, eq=False)
-class SpectrumTable:
+class SpectrumTable(NamedTuple):
     """Column-oriented spectrum: one row per grid frequency.
 
     With lanes the occupation columns carry the lane axes before the grid
@@ -69,7 +63,7 @@ class SpectrumTable:
 
 
 def thermal_occupation(omega, env: ThermalEnv):
-    """Bose-Einstein occupation 1/(exp(hbar*omega/(k_B T)) - 1); exactly +0.0 at T = 0, where x = inf."""
+    """Bose-Einstein occupation 1/(exp(hbar*omega/(k_B T)) - 1); exactly +0.0 at T = +0.0, where x = +inf."""
     w = positive_frequencies(omega)
     with np.errstate(over="ignore", divide="ignore"):  # x = inf (T = 0, or k_B*T underflows) is the x > 700 regime
         x = HBAR * w / (K_B * env.temperature)

@@ -3,26 +3,27 @@
 A resonant AC voltage across the film produces a resonantly enhanced
 motional amplitude and, through the moving electrode, a modulation of the
 plate capacitance. The film resonator's parameter types live here: material,
-geometry and drive. Of its equivalent circuit only the static plate
-capacitance enters a command, as the float `Scenario.c_plate`. All operations
-are pure functions of their inputs.
+geometry and drive. They hold values and check nothing; the bounds on their
+numbers are rows of `scenario._BOUNDS`, checked where the numbers enter. Of
+its equivalent circuit only the static plate capacitance enters a command, as
+the float `Scenario.c_plate`. All operations are pure functions of their
+inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ValidityError, check_fields, holds
+from .errors import ConfigError, ValidityError
 
 # Fractional displacement bound below which the first-order expansion of the
 # plate capacitance keeps the discarded quadratic term under 1e-4 relative.
 CAP_EXPANSION_BOUND = 1.0 / 100.0
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class MaterialProps:
+class MaterialProps(NamedTuple):
     """Elastic and piezoelectric constants of the film material.
 
     Parameters
@@ -39,12 +40,8 @@ class MaterialProps:
     density: float
     d33: float
 
-    def __post_init__(self):
-        check_fields(self, "material", positive=("youngs_modulus", "density", "d33"))
 
-
-@dataclass(frozen=True, repr=False, eq=False)
-class FbarGeometry:
+class FbarGeometry(NamedTuple):
     """Geometry and quality factor of the film resonator.
 
     Parameters
@@ -61,34 +58,23 @@ class FbarGeometry:
     quality: float
     omega_m: float
 
-    def __post_init__(self):
-        check_fields(self, "geometry", positive=("t_piezo", "omega_m"))
-        if not holds(self.quality >= 1.0):
-            raise ConfigError("geometry.quality must be >= 1")
 
-
-@dataclass(frozen=True, repr=False, eq=False)
-class DriveParams:
+class DriveParams(NamedTuple):
     """AC voltage drive V(t) = v_pp * cos(omega_d * t + phase).
 
     Parameters
     ----------
     v_pp : float
         Peak voltage amplitude [V] (>= 0); may hold an array of lanes, see `scatter`.
-    phase : float
-        Drive phase [rad]; pi/2 by default so the drive switches on smoothly.
     omega_d : float
         Drive angular frequency [rad/s].
+    phase : float
+        Drive phase [rad]; pi/2 by default so the drive switches on smoothly.
     """
 
     v_pp: float
+    omega_d: float
     phase: float = np.pi / 2.0
-    omega_d: float = 0.0
-
-    def __post_init__(self):
-        check_fields(self, "drive", positive=("omega_d",), non_negative=("v_pp",))
-        if not np.isfinite(self.phase):
-            raise ConfigError("drive.phase must be finite")
 
 
 def driven_amplitude(mat: MaterialProps, geo: FbarGeometry, drv: DriveParams) -> float:
@@ -127,9 +113,10 @@ def delta_capacitance(geo: FbarGeometry, delta_x: float, c0: float) -> float:
     ----------
     geo : FbarGeometry
     delta_x : float or ndarray
-        Motional amplitude [m]; must satisfy 0 <= delta_x < t_piezo / 100 so
-        that the first-order expansion C0 * (1 + delta_x/t) is valid. An array
-        of lanes must satisfy it in every entry, and delta_c then has its shape.
+        Motional amplitude [m], non-negative (`scenario.source_config` checks
+        it); must stay below t_piezo / 100 so that the first-order expansion
+        C0 * (1 + delta_x/t) is valid. An array of lanes must stay below it in
+        every entry, and delta_c then has its shape.
     c0 : float
         Static plate capacitance [F].
 
@@ -138,9 +125,7 @@ def delta_capacitance(geo: FbarGeometry, delta_x: float, c0: float) -> float:
     float or ndarray
         Modulation amplitude delta_c = c0 * delta_x / t [F].
     """
-    if not holds(delta_x >= 0.0):
-        raise ConfigError("delta_x must be non-negative")
-    if not holds(delta_x < geo.t_piezo * CAP_EXPANSION_BOUND):
+    if not np.all(delta_x < geo.t_piezo * CAP_EXPANSION_BOUND):
         raise ValidityError(
             f"delta_x = {np.max(delta_x):.3e} m exceeds t_piezo/100 = "
             f"{geo.t_piezo * CAP_EXPANSION_BOUND:.3e} m; first-order capacitance expansion invalid"

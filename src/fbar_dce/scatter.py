@@ -16,6 +16,12 @@ line-dominated and rejected for continuous-part evaluation. The closed form
 for a finite window and the integrated line strengths, against which the
 tests check the steady part, are in `tests/paper_checks.py`.
 
+Types
+-----
+`TimeVaryingCap`, `LineParams` and `SourceConfig` hold values and check
+nothing: `scenario.source_config` and the loader check the bounds on what goes
+into them, as rows of `scenario._BOUNDS`.
+
 Lanes
 -----
 `TimeVaryingCap.delta_c`, `DriveParams.v_pp` and `LineParams.z0` may each hold
@@ -28,40 +34,30 @@ a scalar field, so every lane gives the bits of its own scalar evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import HBAR, TWO_PI
-from .errors import ConfigError, GuardBandError, check_fields, holds, positive_frequencies
+from .errors import GuardBandError, positive_frequencies
 from .piezo import DriveParams
 
 _SQRT_2PI = math.sqrt(TWO_PI)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class TimeVaryingCap:
+class TimeVaryingCap(NamedTuple):
     """Harmonically modulated capacitance c0 + delta_c*cos(omega_m*t); delta_c may hold lanes."""
 
     c0: float
     delta_c: float
     omega_m: float
 
-    def __post_init__(self):
-        check_fields(self, "cap", positive=("c0", "omega_m"))
-        if not holds((0.0 <= self.delta_c) & (self.delta_c < self.c0)):  # NaN fails
-            raise ConfigError("cap.delta_c must satisfy 0 <= delta_c < c0")
 
-
-@dataclass(frozen=True, repr=False, eq=False)
-class LineParams:
+class LineParams(NamedTuple):
     """Transmission-line parameters: characteristic impedance and signal speed; z0 may hold lanes."""
 
     z0: float
     v_light: float
-
-    def __post_init__(self):
-        check_fields(self, "line", positive=("z0", "v_light"))
 
     @property
     def cap_density(self) -> float:
@@ -69,20 +65,12 @@ class LineParams:
         return 1.0 / (self.v_light * self.z0)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class SourceConfig:
-    """Drive + modulated capacitance + finite observation window."""
+class SourceConfig(NamedTuple):
+    """Drive + modulated capacitance + finite observation window (more than 100 modulation periods)."""
 
     drive: DriveParams
     cap: TimeVaryingCap
     window_time: float
-
-    def __post_init__(self):
-        min_window = 100.0 * TWO_PI / self.cap.omega_m
-        if not self.window_time > min_window:
-            raise ConfigError(
-                f"window_time must exceed 100 modulation periods = {min_window:.3e} s"
-            )
 
 
 def guard_band(window_time: float) -> float:

@@ -3,6 +3,12 @@
 Configs are JSON objects with explicit unit-suffixed keys; every frequency is
 given in Hz and converted to angular frequency once at load. The raw mapping
 is kept on the Scenario so serialization round-trips exactly.
+
+Every bound on a scenario number, or on a value derived from one, is a row of
+`_BOUNDS`, checked once where its value enters: the loader checks the file's
+numbers, `source_config` the mirror amplitude, the modulation and the window,
+`squeeze_params` the inductance, and a sweep its lanes. The types the numbers
+fill hold values and check nothing.
 """
 
 from __future__ import annotations
@@ -12,12 +18,12 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .cavity import CavityParams
+from .cavity import CavityParams, cavity_params
 from .constants import EPS0, TWO_PI
 from .errors import MAX_ENTRIES, ConfigError
 from .flux import ThermalEnv
@@ -26,8 +32,8 @@ from .scatter import LineParams, SourceConfig, TimeVaryingCap, effective_length
 
 # {section: {raw key: constructor field}}; keys ending in _hz are converted to
 # rad/s on load. The mbvd section fills Scenario itself. A key mapped to None is
-# checked, and hashed with the raw mapping, but no command reads it:
-# cavity.z0_ohm is checked against line.z0_ohm, and the rest against _BOUNDS.
+# checked against _BOUNDS, and hashed with the raw mapping, but no command
+# reads it (cavity.z0_ohm must equal line.z0_ohm).
 _NUMBER_SCHEMA: dict[str, dict[str, str | None]] = {
     "material": {
         "youngs_modulus_pa": "youngs_modulus",
@@ -60,23 +66,60 @@ _NUMBER_SCHEMA: dict[str, dict[str, str | None]] = {
 
 _POSITIVE = (operator.gt, 0.0, "must be strictly positive")
 _NON_NEGATIVE = (operator.ge, 0.0, "must be non-negative")
-# (section, raw key, name in the message, (compare, bound, message)) for the
-# numbers that no class checks, in the order they are checked: a number is
-# accepted when compare(number, bound) holds
+_VACUUM = (operator.ge, EPS0, "must be at least the vacuum permittivity")
+_LINE_SPEED = (operator.eq, ("line", "v_light_m_s"), "must equal line.v_light_m_s")
+_WINDOW = (operator.gt, ("source", "min_window"), "must exceed 100 modulation periods = {bound:.3e} s")
+# (section, key, name in the message, (compare, bound, message)), in the order
+# they are checked. key is a raw key of the section, or in the "source" and "lc"
+# sections the name of a value derived from the scenario. A value is accepted
+# when compare(value, bound) holds in every lane, so NaN is refused. A bound
+# is a number, or the (section, key) of the value compared with; the message
+# shows it at {bound}.
 _BOUNDS = (
-    ("material", "poisson_ratio", "poisson", _POSITIVE),
-    ("material", "sound_speed_m_s", "sound_speed", _POSITIVE),
-    ("material", "permittivity_f_m", "permittivity", _POSITIVE),
-    ("material", "poisson_ratio", "poisson", (operator.lt, 0.5, "must lie in (0, 0.5)")),
-    ("material", "permittivity_f_m", "permittivity", (operator.ge, EPS0, "must be at least the vacuum permittivity")),
-    ("geometry", "area_m2", "area", _POSITIVE),
-    ("mbvd", "c_m_farad", "c_m", _POSITIVE),
-    ("mbvd", "l_m_henry", "l_m", _POSITIVE),
-    ("mbvd", "c_plate_farad", "c_plate", _POSITIVE),
-    ("mbvd", "r_m_ohm", "r_m", _NON_NEGATIVE),
-    ("mbvd", "r_0_ohm", "r_0", _NON_NEGATIVE),
-    ("mbvd", "r_s_ohm", "r_s", _NON_NEGATIVE),
+    ("material", "poisson_ratio", "material.poisson", _POSITIVE),
+    ("material", "sound_speed_m_s", "material.sound_speed", _POSITIVE),
+    ("material", "permittivity_f_m", "material.permittivity", _POSITIVE),
+    ("material", "poisson_ratio", "material.poisson", (operator.lt, 0.5, "must lie in (0, 0.5)")),
+    ("material", "permittivity_f_m", "material.permittivity", _VACUUM),
+    ("geometry", "area_m2", "geometry.area", _POSITIVE),
+    ("mbvd", "c_m_farad", "mbvd.c_m", _POSITIVE),
+    ("mbvd", "l_m_henry", "mbvd.l_m", _POSITIVE),
+    ("mbvd", "c_plate_farad", "mbvd.c_plate", _POSITIVE),
+    ("mbvd", "r_m_ohm", "mbvd.r_m", _NON_NEGATIVE),
+    ("mbvd", "r_0_ohm", "mbvd.r_0", _NON_NEGATIVE),
+    ("mbvd", "r_s_ohm", "mbvd.r_s", _NON_NEGATIVE),
+    ("material", "youngs_modulus_pa", "material.youngs_modulus", _POSITIVE),
+    ("material", "density_kg_m3", "material.density", _POSITIVE),
+    ("material", "d33_m_per_v", "material.d33", _POSITIVE),
+    ("geometry", "t_piezo_m", "geometry.t_piezo", _POSITIVE),
+    ("geometry", "omega_m_hz", "geometry.omega_m", _POSITIVE),
+    ("geometry", "quality", "geometry.quality", (operator.ge, 1.0, "must be >= 1")),
+    ("drive", "omega_d_hz", "drive.omega_d", _POSITIVE),
+    ("drive", "v_pp_volts", "drive.v_pp", _NON_NEGATIVE),
+    ("cavity", "z0_ohm", "cavity.z0_ohm", (operator.eq, ("line", "z0_ohm"), "must equal line.z0_ohm")),
+    ("cavity", "v_light_m_s", "cavity.v_light_m_s", _LINE_SPEED),
+    ("line", "z0_ohm", "line.z0", _POSITIVE),
+    ("line", "v_light_m_s", "line.v_light", _POSITIVE),
+    ("cavity", "length_d_m", "cavity.length_d", _POSITIVE),
+    ("cavity", "omega_coupling_hz", "cavity.omega_coupling", _POSITIVE),
+    ("environment", "temperature_k", "environment.temperature", _NON_NEGATIVE),
+    ("source", "delta_x", "delta_x", _NON_NEGATIVE),
+    # c0 * delta_x / t_piezo stays below c0 unless the product overflows
+    ("source", "delta_c", "cap.delta_c", (operator.lt, ("source", "c0"), "must satisfy 0 <= delta_c < c0")),
+    ("source", "window_time", "window_time", _WINDOW),
+    ("lc", "inductance", "lc.inductance", _POSITIVE),
 )
+
+
+def check_bounds(values: dict) -> None:
+    """ConfigError at the first row of _BOUNDS whose value in values, keyed (section, key), it refuses."""
+    for section, key, name, (compare, bound, message) in _BOUNDS:
+        if (section, key) in values:
+            if isinstance(bound, tuple):
+                bound = values[bound]
+            if not np.all(compare(values[section, key], bound)):
+                raise ConfigError(f"{name} {message}".format(bound=bound))
+
 
 PRESET_NAMES = ("low-q", "high-q", "metamaterial")
 
@@ -138,8 +181,7 @@ def preset_raw(name: str) -> dict:
     raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class GridSpec:
+class GridSpec(NamedTuple):
     """Strictly increasing evaluation grid inside (0, omega_m), angular units."""
 
     omega_min: float
@@ -147,8 +189,7 @@ class GridSpec:
     points: int
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class Scenario:
+class Scenario(NamedTuple):
     """Validated parameter set; `raw` preserves the exact ingested mapping.
 
     `c_plate` is the static plate capacitance [F], the one element of the
@@ -212,9 +253,7 @@ def scenario_from_raw(raw: dict) -> Scenario:
         section: {key: _require_number(raw[section], key, f"{section}.{key}") for key in keys}
         for section, keys in _NUMBER_SCHEMA.items()
     }
-    for section, key, name, (compare, bound, message) in _BOUNDS:
-        if not compare(num[section][key], bound):
-            raise ConfigError(f"{section}.{name} {message}")
+    check_bounds({(section, key): number for section, numbers in num.items() for key, number in numbers.items()})
     fields = {
         section: {
             field: TWO_PI * num[section][key] if key.endswith("_hz") else num[section][key]
@@ -226,19 +265,16 @@ def scenario_from_raw(raw: dict) -> Scenario:
     material = MaterialProps(**fields["material"])
     geometry = FbarGeometry(**fields["geometry"])
     drive = DriveParams(**fields["drive"])
-    for key in ("z0_ohm", "v_light_m_s"):
-        if num["cavity"][key] != num["line"][key]:
-            raise ConfigError(f"cavity.{key} must equal line.{key}")
     line = LineParams(**fields["line"])
-    cavity = CavityParams(**fields["cavity"], l_eff=effective_length(fields["mbvd"]["c_plate"], line))
-    env = ThermalEnv(**fields["environment"])
+    cavity = cavity_params(**fields["cavity"], l_eff=effective_length(fields["mbvd"]["c_plate"], line))
+    env = ThermalEnv(fields["environment"]["temperature"] + 0.0)  # -0.0 -> +0.0, so T = 0 gives x = +inf
     points = raw["grid"]["points"]
     if not isinstance(points, int) or not 2 <= points <= MAX_ENTRIES:
         raise ConfigError(f"field grid.points must be an integer in [2, {MAX_ENTRIES}]")
     grid = GridSpec(**{**fields["grid"], "points": points})
     if not 0.0 < grid.omega_min < grid.omega_max < geometry.omega_m:
         raise ConfigError("grid must satisfy 0 < omega_min < omega_max < geometry omega_m")
-    window_time = float(raw["window_time_s"])  # its invariant is enforced by SourceConfig below
+    window_time = float(raw["window_time_s"])  # its bound is checked by source_config below
     scenario = Scenario(
         name=raw["name"],
         material=material,
@@ -252,7 +288,7 @@ def scenario_from_raw(raw: dict) -> Scenario:
         grid=grid,
         raw=copy.deepcopy(raw),
     )
-    source_config(scenario)  # exercises window-length and displacement-validity invariants
+    source_config(scenario)  # checks the window length and the mirror amplitude
     return scenario
 
 
@@ -287,11 +323,17 @@ def source_config(sc: Scenario, delta_x: float | None = None) -> SourceConfig:
 
     The static capacitance is the measured plate capacitance of the
     equivalent circuit; its modulation amplitude follows the fractional
-    mirror displacement delta_x / t_piezo.
+    mirror displacement delta_x / t_piezo. Checks the "source" rows of
+    _BOUNDS: delta_x before the validity bound of its expansion, then the
+    modulation and the window.
     """
     if delta_x is None:
         delta_x = motional_amplitude(sc)
+    check_bounds({("source", "delta_x"): delta_x})
     delta_c = delta_capacitance(sc.geometry, delta_x, sc.c_plate)
+    min_window = 100.0 * TWO_PI / sc.geometry.omega_m
+    source = {"delta_c": delta_c, "c0": sc.c_plate, "window_time": sc.window_time, "min_window": min_window}
+    check_bounds({("source", key): value for key, value in source.items()})
     cap = TimeVaryingCap(c0=sc.c_plate, delta_c=delta_c, omega_m=sc.geometry.omega_m)
     return SourceConfig(drive=sc.drive, cap=cap, window_time=sc.window_time)
 
@@ -313,6 +355,7 @@ def squeeze_params(sc: Scenario) -> squeeze.LcParams:
     omega_lc = sc.geometry.omega_m / 2.0
     cap_total = 2.0 * sc.c_plate
     inductance = 1.0 / (omega_lc**2 * cap_total)
+    check_bounds({("lc", "inductance"): inductance})
     return squeeze.LcParams(
         inductance=inductance,
         cap_cavity=sc.c_plate,

@@ -7,24 +7,23 @@ as the independent check of that closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MAX_ENTRIES, ConfigError, RwaViolationError, ValidityError, check_fields
-from .piezo import CAP_EXPANSION_BOUND
+from .errors import MAX_ENTRIES, ConfigError, RwaViolationError, ValidityError
 
 RK4_STEP_BOUND = 5e-4  # dimensionless step 2*lambda*h per integrator step
 TRUNCATION_POPULATION_BOUND = 1e-8  # top-two-level population above which truncation is flagged
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class LcParams:
+class LcParams(NamedTuple):
     """Lumped LC mode with a mechanically modulated mirror capacitance.
 
     cap_cavity and cap_mirror add to the total capacitance C_T; the mirror
-    plate sits at gap and oscillates with amplitude delta_x at omega_m.
+    plate sits at gap and oscillates with amplitude delta_x at omega_m, below
+    gap/100 for the series expansion (`scenario.squeeze_params` builds it from
+    checked numbers).
     """
 
     inductance: float
@@ -33,13 +32,6 @@ class LcParams:
     gap: float
     delta_x: float
     omega_m: float
-
-    def __post_init__(self):
-        check_fields(
-            self, "lc", positive=("inductance", "cap_cavity", "cap_mirror", "gap", "omega_m"), non_negative=("delta_x",)
-        )
-        if self.delta_x >= self.gap * CAP_EXPANSION_BOUND:
-            raise ValidityError("lc.delta_x must stay below gap/100 for the series expansion")
 
     @property
     def cap_total(self) -> float:

@@ -23,13 +23,13 @@ on the import path).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from fbar_dce.cavity import CavityParams, dressed_coefficients
-from fbar_dce.errors import ConfigError, UnderflowError, check_fields, positive_frequencies
+from fbar_dce.errors import ConfigError, UnderflowError, positive_frequencies
 from fbar_dce.piezo import FbarGeometry, MaterialProps
 from fbar_dce.scatter import (
     _SQRT_2PI,
@@ -140,7 +140,13 @@ class MbvdParams:
     c_plate: float
 
     def __post_init__(self):
-        check_fields(self, "mbvd", positive=("c_m", "l_m", "c_plate"), non_negative=("r_m", "r_0", "r_s"))
+        # the bounds the loader's rows put on these numbers, with their messages; NaN fails both
+        for name in ("c_m", "l_m", "c_plate"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"mbvd.{name} must be strictly positive")
+        for name in ("r_m", "r_0", "r_s"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigError(f"mbvd.{name} must be non-negative")
 
     @classmethod
     def of(cls, sc) -> MbvdParams:
@@ -384,7 +390,7 @@ def resonant_rate_scaling(cav: CavityParams, cfg: SourceConfig, line: LineParams
     probe = np.array([cfg.cap.omega_m / 2.0])
 
     def mech_flux(delta_c: float, scaled_line: LineParams) -> float:
-        scaled_cfg = replace(cfg, cap=replace(cfg.cap, delta_c=delta_c))
+        scaled_cfg = cfg._replace(cap=cfg.cap._replace(delta_c=delta_c))
         return abs(dressed_coefficients(probe, cav, scaled_cfg, scaled_line).s2_res[0]) ** 2
 
     multipliers = np.array([1.0, 2.0, 4.0])

@@ -1,14 +1,16 @@
 """The paired benchmark `tools/bench.py` writes the BENCH record it documents.
 
-The runner is a stub and the revision export and git are replaced, so the
-tests spawn nothing: they check the order of the pairs, the summary of each
-metric, the wins by each metric's direction, the record's keys, and where a
-run's host and source record is read from.
+The runner and the start-up probe are stubs and the revision export and git
+are replaced, so the tests spawn nothing: they check the order of the pairs
+and of the probes, the summary of each metric, the wins by each metric's
+direction, the record's keys, where a run's host and source record is read
+from, and what one start-up probe runs and how its stages are read.
 """
 
 import argparse
 import importlib.util
 import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -37,23 +39,43 @@ def test_bench_record_on_a_stubbed_runner(monkeypatch):
         record = {"nproc": 2, "src_lines": 2000 if head else 1990}
         return {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics, "record": record}
 
+    probes = []
+
+    def probe(tree):
+        # the head imports the package 2 ms faster; the other stages tie
+        probes.append(tree)
+        head = tree == bench.ROOT
+        seconds = {"import_numpy_s": 0.05, "import_cli_s": 0.017 if head else 0.019, "build_parser_s": 0.002}
+        return {"metrics": {stage: {"value": value, "unit": "s"} for stage, value in seconds.items()}}
+
     monkeypatch.setattr(bench, "export", _export)
     monkeypatch.setattr(bench, "_git", lambda *args: "" if args[0] == "status" else f"sha-of-{args[-1]}")
     args = argparse.Namespace(pr=7, against="abc123", pairs=4, workload="grid-100x", seed=3)
-    doc = bench.build(args, run)
+    doc = bench.build(args, run, probe)
 
     sides = ["head" if tree == bench.ROOT else "against" for tree, *_ in calls]
     assert sides == ["against", "head", "head", "against"] * 2
     assert {tuple(call[1:]) for call in calls} == {("grid-100x", 3)}
     assert set(doc) == {
-        "pr", "workload", "pairs", "seed", "revisions", "clean_tree", "host", "record", "metrics", "checks"
+        "pr", "workload", "pairs", "seed", "revisions", "clean_tree", "host", "record", "metrics", "checks",
+        "startup",
     }
+    # the start-up probes alternate as the pairs do, STARTUP_RUNS a side, and are summarized as the pairs' metrics
+    probe_sides = ["head" if tree == bench.ROOT else "against" for tree in probes]
+    assert probe_sides == ["against", "head", "head", "against"] * (bench.STARTUP_RUNS // 2)
+    assert set(doc["startup"]) == {"import_numpy_s", "import_cli_s", "build_parser_s"}
+    cli_import = doc["startup"]["import_cli_s"]
+    assert (cli_import["unit"], cli_import["better"], cli_import["head_wins"]) == ("s", "lower", bench.STARTUP_RUNS)
+    assert (cli_import["head"]["median"], cli_import["against"]["median"]) == (0.017, 0.019)
+    assert len(cli_import["head"]["values"]) == bench.STARTUP_RUNS
+    assert doc["startup"]["import_numpy_s"]["head_wins"] == 0
     assert doc["revisions"] == {"head": "sha-of-HEAD", "against": "sha-of-abc123"}
     assert doc["clean_tree"] is True
     assert doc["record"] == {"against": {"nproc": 2, "src_lines": 1990}, "head": {"nproc": 2, "src_lines": 2000}}
     assert doc["checks"] == {side: {"correct": [True] * 4, "failed": [0] * 4} for side in ("against", "head")}
     # the host fields, read in this process: SIMD features as numpy lists them, and OpenBLAS's core or None
-    assert set(doc["host"]) == {"numpy_simd", "openblas_core"}
+    assert set(doc["host"]) == {"numpy_simd", "openblas_core", "pythondontwritebytecode"}
+    assert doc["host"]["pythondontwritebytecode"] is bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
     assert doc["host"]["numpy_simd"] == [name for name, found in __cpu_features__.items() if found]
     core = doc["host"]["openblas_core"]
     assert core is None or (isinstance(core, str) and core.isprintable() and core)
@@ -83,3 +105,29 @@ def test_a_run_takes_its_record_from_the_run_file(tmp_path, monkeypatch):
     monkeypatch.setattr(bench.subprocess, "run", fake_run)
     assert bench.run_perfbench(tmp_path, "grid-100x", 3) == result | {"record": record}
     assert seen == [(["perfbench/run.py", "--workload", "grid-100x", "--seed", "3"], tmp_path)]
+
+
+def test_a_startup_probe_times_the_four_stages_in_the_tree(tmp_path, monkeypatch):
+    # one fresh interpreter of the tree's package, which prints the seconds of each stage in order
+    seen = []
+
+    def fake_run(cmd, env, **kwargs):
+        seen.append((cmd[1:], env["PYTHONPATH"], env["OPENBLAS_NUM_THREADS"]))
+        return subprocess.CompletedProcess(cmd, 0, stdout="[0.05, 0.017, 0.002, 0.0003]\n")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    result = bench.probe_startup(tmp_path)
+    assert result == {
+        "metrics": {
+            "import_numpy_s": {"value": 0.05, "unit": "s"},
+            "import_cli_s": {"value": 0.017, "unit": "s"},
+            "build_parser_s": {"value": 0.002, "unit": "s"},
+            "load_preset_s": {"value": 0.0003, "unit": "s"},
+        }
+    }
+    assert seen == [(["-c", bench.STARTUP_PROBE], str(tmp_path / "src"), "1")]
+    probe = bench.STARTUP_PROBE
+    steps = ("import numpy", "from fbar_dce import cli", "_build_parser()", "load_scenario")
+    order = [probe.index(step) for step in steps]
+    assert order == sorted(order)

@@ -1,15 +1,18 @@
 """One bounds contract for every configuration field and bounded argument.
 
 Each bound is written as the condition that must hold, so a NaN fails it by
-construction and is a configuration error. The field cases are collected from
-`dataclasses.fields`, and the scenario-number cases from the loader's schema,
-so a float field or a scenario key added later is covered without a test edit.
-The paper checks' `MbvdParams` holds the circuit that no command reads, and
-keeps the same contract.
+construction and is a configuration error. The configuration types hold values
+and check nothing: every bound is a row of `scenario._BOUNDS`, checked where
+its value enters. The field cases are collected from the float fields of each
+type, so a field added later without a row that bounds it fails here; the
+scenario-number cases come from the loader's schema. The paper checks'
+`MbvdParams` holds the circuit that no command reads, and checks the loader's
+bounds itself.
 """
 
-import dataclasses
 import math
+import re
+import typing
 
 import numpy as np
 import pytest
@@ -19,7 +22,16 @@ from fbar_dce.cavity import dressed_coefficients
 from fbar_dce.errors import ConfigError
 from fbar_dce.flux import output_spectrum
 from fbar_dce.piezo import delta_capacitance
-from fbar_dce.scenario import _NUMBER_SCHEMA, load_scenario, preset_raw, scenario_from_raw, source_config, squeeze_params
+from fbar_dce.scenario import (
+    _BOUNDS,
+    _NUMBER_SCHEMA,
+    check_bounds,
+    load_scenario,
+    preset_raw,
+    scenario_from_raw,
+    source_config,
+    squeeze_params,
+)
 from fbar_dce.squeeze import analytic_photon_number, evolve_series
 
 SC = load_scenario("low-q")
@@ -39,17 +51,45 @@ INSTANCES = {
     "lc": squeeze_params(SC),
 }
 FIELD_CASES = [
-    pytest.param(instance, f.name, id=f"{label}.{f.name}")
+    pytest.param(f"{label}.{name}", id=f"{label}.{name}")
     for label, instance in INSTANCES.items()
-    for f in dataclasses.fields(instance)
-    if f.init and f.type in ("float", float)
+    for name, kind in typing.get_type_hints(type(instance)).items()
+    if kind is float
 ]
+_LENGTH = ("cavity.length_d", "mbvd.c_plate", "line.z0", "line.v_light")  # d_eff = length_d + c_plate * z0 * v_light
+# the rows, by name in the message, that bound a float field made from other numbers; any other field is bounded by
+# its own row, named label.field. drive.phase has none: the loader requires it finite, as every scenario number
+COVERS = {
+    "drive.phase": (),
+    "cavity.v_light": ("cavity.v_light_m_s", "line.v_light"),
+    "cavity.l_eff": _LENGTH[1:],
+    "cavity.d_eff": _LENGTH,
+    "cavity.omega_0": _LENGTH,
+    "env.temperature": ("environment.temperature",),
+    "cap.c0": ("mbvd.c_plate",),
+    "cap.delta_c": ("delta_x", "cap.delta_c"),
+    "cap.omega_m": ("geometry.omega_m",),
+    "source_config.window_time": ("window_time",),
+    "lc.cap_cavity": ("mbvd.c_plate",),
+    "lc.cap_mirror": ("mbvd.c_plate",),
+    "lc.gap": ("geometry.t_piezo",),
+    "lc.delta_x": ("delta_x",),
+    "lc.omega_m": ("geometry.omega_m",),
+}
 
 
-@pytest.mark.parametrize("instance, name", FIELD_CASES)
-def test_nan_field_is_config_error(instance, name):
-    with pytest.raises(ConfigError):
-        dataclasses.replace(instance, **{name: math.nan})
+@pytest.mark.parametrize("field", FIELD_CASES)
+def test_nan_field_is_config_error(field):
+    # each row that bounds the field refuses a NaN where its value enters
+    names = COVERS.get(field, (field,))
+    rows = [row for row in _BOUNDS if row[2] in names]
+    assert {row[2] for row in rows} == set(names)
+    for section, key, name, (_, bound, _) in rows:
+        values = {(section, key): math.nan}
+        if isinstance(bound, tuple):  # the value the row compares with
+            values[bound] = 1.0
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} "):
+            check_bounds(values)
 
 
 @pytest.mark.parametrize(
@@ -66,6 +106,7 @@ def test_nan_scenario_number_is_config_error(section, key):
 NAN_GRID = np.array([1e9, math.nan])
 ARGUMENT_CALLS = {
     "delta_capacitance-delta_x": lambda: delta_capacitance(SC.geometry, math.nan, SC.c_plate),
+    "source_config-delta_x": lambda: source_config(SC, math.nan),
     "mechanical_susceptibility-omega": lambda: mechanical_susceptibility(math.nan, OMEGA_M, 1e6),
     "mechanical_susceptibility-omega-array": lambda: mechanical_susceptibility(NAN_GRID, OMEGA_M, 1e6),
     "mechanical_susceptibility-gamma": lambda: mechanical_susceptibility(1e9, OMEGA_M, math.nan),

@@ -1,7 +1,6 @@
 """Command-line interface: exit codes, CSV schema, determinism, physics columns."""
 
 import ast
-import dataclasses
 import functools
 import json
 import math
@@ -573,6 +572,19 @@ def test_sweep_flags_failing_value(tmp_path):
     assert out.read_text().splitlines()[-1] == "q,1500000000,0.5,nan,nan,nan,nan,ValidityError"
 
 
+def test_sweep_quality_below_one_is_a_configuration_row(tmp_path):
+    # q < 1 breaks the quality row of scenario._BOUNDS, which the sweep checks for its lanes: the batch fails
+    # while it is built, and in halves the 0.5 row carries ConfigError and no numbers while the 300 row keeps
+    # the bytes of its one-value sweep
+    out, single = tmp_path / "q.csv", tmp_path / "q300.csv"
+    assert cli.main(["sweep", "--axis", "q", "--values", "0.5,300", "--out", str(out)]) == 0
+    assert cli.main(["sweep", "--axis", "q", "--values", "300", "--out", str(single)]) == 0
+    low, high = out.read_text().splitlines()[-2:]
+    assert low == "q,0.5,0.5,nan,nan,nan,nan,ConfigError"
+    assert high == single.read_text().splitlines()[-1]
+    assert high.endswith(",") and "nan" not in high
+
+
 def test_resonances_root_free_band_writes_header_only(tmp_path):
     # the low-q roots sit near 1/6, 1/2 and 5/6 of omega_m; this band holds none
     def mutate(raw):
@@ -1101,6 +1113,7 @@ for name, argv in json.loads(sys.argv[2]).items():
         "sha256": digest,
         "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules),
         "numpy_ma": "numpy.ma" in sys.modules,
+        "dataclasses": "dataclasses" in sys.modules,
         "floattext": "fbar_dce.floattext" in sys.modules,
         "floattext_at_fork": list(forks),
         "modules": sorted(m for m in sys.modules if m.startswith("fbar_dce.")),
@@ -1114,8 +1127,8 @@ def _run_fresh(out_dir, argvs, blas_threads=None):
     """Run each named argv through cli.main, in order, in one fresh interpreter, whose modules and threads are its own.
 
     The interpreter sees OPENBLAS_NUM_THREADS=blas_threads, or no such variable for None. Its report:
-    "runs" maps each name to the exit code, the sha256 of the table, whether a scipy module, numpy.ma
-    and the numpy float formatter are loaded afterwards, whether the formatter was loaded at each fork
+    "runs" maps each name to the exit code, the sha256 of the table, whether a scipy module, numpy.ma,
+    dataclasses and the numpy float formatter are loaded afterwards, whether the formatter was loaded at each fork
     the command made, and the fbar_dce modules loaded by then;
     "threads" is the OS thread count at its end (None where /proc/self/task is missing) and "setting"
     the OPENBLAS_NUM_THREADS it saw.
@@ -1166,9 +1179,11 @@ def test_no_command_loads_scipy(default_run, command):
 
 
 def test_no_command_loads_numpy_ma(default_run, two_thread_run):
-    # numpy.ma costs 13-15 ms to import and no command needs it (a first np.unique call would load it)
+    # numpy.ma costs 13-15 ms to import and no command needs it (a first np.unique call would load it); the
+    # configuration types are NamedTuples, so dataclasses is not imported either (numpy does not import it)
     runs = [*default_run["runs"].items(), *two_thread_run["runs"].items()]
-    assert [name for name, run in runs if run["numpy_ma"]] == []
+    loaded = {module: [name for name, run in runs if run[module]] for module in ("numpy_ma", "dataclasses")}
+    assert loaded == {"numpy_ma": [], "dataclasses": []}
 
 
 def test_only_the_commands_that_run_them_load_squeeze_and_brent(default_run):
@@ -1326,30 +1341,26 @@ _SCHEMA_CLASSES = {
     "environment": ThermalEnv,
     "grid": GridSpec,
 }
-# frames whose reads check or copy a field rather than use it
-_CHECKING_FRAMES = ("__post_init__", "check_fields")
 
 
 def test_every_schema_field_is_read_by_some_command(tmp_path, monkeypatch):
-    # a scenario number that no command reads is left unmapped in the schema, like cavity.z0_ohm
+    # a scenario number that no command reads is left unmapped in the schema, like cavity.z0_ohm. The types check
+    # nothing and _replace copies a field without looking it up, so every field lookup is a use
     assert set(_SCHEMA_CLASSES) == set(_NUMBER_SCHEMA)
     read = set()
 
-    def tracking(cls, fields):
+    def tracking(cls):
         original = cls.__getattribute__
 
         def __getattribute__(self, name):
-            if name in fields:
-                caller = sys._getframe(1)
-                if caller.f_code.co_name not in _CHECKING_FRAMES and caller.f_globals["__name__"] != "dataclasses":
-                    read.add((cls.__name__, name))
+            if name in cls._fields:
+                read.add((cls.__name__, name))
             return original(self, name)
 
         return __getattribute__
 
     for cls in set(_SCHEMA_CLASSES.values()):
-        fields = {f.name for f in dataclasses.fields(cls)}
-        monkeypatch.setattr(cls, "__getattribute__", tracking(cls, fields))
+        monkeypatch.setattr(cls, "__getattribute__", tracking(cls))
     for i, argv in enumerate(_EVERY_COMMAND):
         assert cli.main(argv + ["--out", str(tmp_path / f"{i}.csv")]) == 0, argv
     mapped = {

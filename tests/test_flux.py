@@ -9,15 +9,16 @@ floating-point floor.
 """
 
 import importlib.util
+import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from paper_checks import impedance_scaling_check, resonant_rate_scaling, vc_ratio
 
-from fbar_dce.cavity import CavityParams, dressed_coefficients
+from fbar_dce import cli
+from fbar_dce.cavity import cavity_params, dressed_coefficients
 from fbar_dce.constants import HBAR, K_B, TWO_PI
 from fbar_dce.errors import ConfigError, NumericalError, ValidityError
 from fbar_dce.flux import (
@@ -34,7 +35,7 @@ from fbar_dce.scenario import PRESET_NAMES, grid_array, preset_raw, scenario_fro
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 OMEGA_M = TWO_PI * 4.2e9
 DELTA_C = 9.772533550193697e-19
-CAV = CavityParams(
+CAV = cavity_params(
     length_d=3.3e-2,
     v_light=1e8,
     omega_coupling=TWO_PI * 29.1e9,
@@ -73,8 +74,11 @@ def test_thermal_occupation_zero_temperature():
 
 
 def test_negative_zero_temperature_is_zero_temperature():
-    # -0.0 passes the >= 0 check; stored as +0.0 it gives x = +inf and +0.0 occupation, not 1/expm1(-inf) = -1
-    env = ThermalEnv(-0.0)
+    # -0.0 passes the >= 0 row; the loader stores it as +0.0, which gives x = +inf and +0.0 occupation,
+    # not 1/expm1(-inf) = -1
+    raw = preset_raw("low-q")
+    raw["environment"]["temperature_k"] = -0.0
+    env = scenario_from_raw(raw).env
     assert math.copysign(1.0, env.temperature) == 1.0
     n = thermal_occupation(np.linspace(0.1, 0.9, 7) * OMEGA_M, env)
     assert np.array_equal(n, np.zeros(7)) and not np.any(np.signbit(n))
@@ -116,9 +120,14 @@ def test_thermal_occupation_rejects_nonpositive_frequency():
         thermal_occupation(np.array([1e9, -1e9]), ENV)
 
 
-def test_thermal_env_rejects_negative_temperature():
-    with pytest.raises(ConfigError):
-        ThermalEnv(temperature=-1e-3)
+def test_thermal_env_rejects_negative_temperature(tmp_path, capsys):
+    # the loader's row, through the command line in this process: exit code 2 with the row's message
+    raw = preset_raw("low-q")
+    raw["environment"]["temperature_k"] = -1e-3
+    path = tmp_path / "cold.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["spectrum", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "configuration error: environment.temperature must be non-negative\n"
 
 
 def test_equilibrium_passthrough_without_drive():
@@ -217,7 +226,7 @@ def test_mech_only_never_exceeds_dce():
 
 
 def test_mechanical_term_is_phase_invariant_but_h_term_is_not():
-    shifted = replace(CFG, drive=DriveParams(v_pp=5e-4, phase=0.3, omega_d=OMEGA_M))
+    shifted = CFG._replace(drive=DriveParams(v_pp=5e-4, phase=0.3, omega_d=OMEGA_M))
     base = dressed_coefficients(0.5 * OMEGA_M, CAV, CFG, LINE)
     other = dressed_coefficients(0.5 * OMEGA_M, CAV, shifted, LINE)
     assert other.s2_res == base.s2_res
@@ -231,7 +240,7 @@ def test_off_default_phase_breaks_decomposition():
     # difference goes negative past round-off; the spectrum refuses to
     # report it as a flux.
     for phase in (0.0, 0.3):
-        bad = replace(CFG, drive=DriveParams(v_pp=5e-4, phase=phase, omega_d=OMEGA_M))
+        bad = CFG._replace(drive=DriveParams(v_pp=5e-4, phase=phase, omega_d=OMEGA_M))
         with pytest.raises(NumericalError):
             output_spectrum(_half_point(), CAV, bad, LINE, ENV)
 
@@ -344,7 +353,7 @@ def test_guard_resolution_matches_scalar_loop():
             for step in (0.3 * guard, 0.7 * guard, 1.2 * guard):
                 for offset in np.linspace(0.0, step, 5, endpoint=False):
                     cases.append((centre - 4.0 * guard + offset + step * np.arange(int(8 * guard / step)), cfg))
-    cases.append((np.linspace(0.1, 0.9, 7) * OMEGA_M, replace(CFG, drive=DriveParams(v_pp=0.0, omega_d=OMEGA_M))))
+    cases.append((np.linspace(0.1, 0.9, 7) * OMEGA_M, CFG._replace(drive=DriveParams(v_pp=0.0, omega_d=OMEGA_M))))
     later_tone_blocks_earlier_shift = False
     for grid, cfg in cases:
         want_omega, want_flags = _scalar_guard_resolution(grid, cfg)
@@ -414,7 +423,7 @@ def test_impedance_scaling_validation():
         impedance_scaling_check(CAV, CFG, LINE, 0.0)
     with pytest.raises(ConfigError):
         impedance_scaling_check(CAV, CFG, LINE, -2.0)
-    silent = replace(CFG, drive=DriveParams(v_pp=0.0, omega_d=OMEGA_M))
+    silent = CFG._replace(drive=DriveParams(v_pp=0.0, omega_d=OMEGA_M))
     with pytest.raises(ConfigError):
         impedance_scaling_check(CAV, silent, LINE, 2.0)
 
@@ -456,7 +465,7 @@ def test_lanes_give_the_bits_of_their_scalar_evaluations(swept):
     lanes = [tuple(x if k in swept else lanes[0][k] for k, x in enumerate(lane)) for lane in lanes]
 
     def spectrum(v_pp, delta_c, z0):
-        cfg = replace(base, drive=replace(base.drive, v_pp=v_pp), cap=replace(base.cap, delta_c=delta_c))
+        cfg = base._replace(drive=base.drive._replace(v_pp=v_pp), cap=base.cap._replace(delta_c=delta_c))
         return output_spectrum(grid, sc.cavity, cfg, LineParams(z0=z0, v_light=sc.line.v_light), sc.env)
 
     columns = [np.array([[x] for x in column]) if k in swept else column[0] for k, column in enumerate(zip(*lanes))]
@@ -471,24 +480,26 @@ def test_lanes_give_the_bits_of_their_scalar_evaluations(swept):
 
 
 def test_lane_fields_check_every_entry():
-    # one entry out of range among good ones fails the field's bound, NaN included
-    for make in (
-        lambda: replace(CAP, delta_c=np.array([[DELTA_C], [math.nan]])),
-        lambda: replace(CAP, delta_c=np.array([[DELTA_C], [CAP.c0]])),
-        lambda: DriveParams(v_pp=np.array([[5e-4], [-1e-30]]), omega_d=OMEGA_M),
-        lambda: LineParams(z0=np.array([[55.0], [math.nan]]), v_light=1e8),
-        lambda: FbarGeometry(t_piezo=3.5e-7, quality=np.array([[2.0], [0.5]]), omega_m=OMEGA_M),
-    ):
-        with pytest.raises(ConfigError):
-            make()
-    # delta_capacitance: an entry beyond t_piezo/100 breaks the expansion, and NaN is a bad value, not a breach
+    # a sweep's lanes enter through cli._sweep_config: one entry out of range among good ones fails its row of
+    # scenario._BOUNDS for the whole batch, NaN included
     sc = scenario_from_raw(preset_raw("low-q"))
     bound = sc.geometry.t_piezo / 100.0
+    wide = sc._replace(c_plate=1e308, geometry=sc.geometry._replace(t_piezo=1e10))
+    for scenario, axis, values, message in (
+        (sc, "v_pp", [5e-4, -1e-30], "drive.v_pp must be non-negative"),
+        (sc, "z0", [55.0, math.nan], "line.z0 must be strictly positive"),
+        (sc, "q", [2.0, 0.5], "geometry.quality must be >= 1"),
+        (sc, "delta_x", [1e-12, math.nan], "delta_x must be non-negative"),
+        (wide, "delta_x", [1e-3, 1e7], "cap.delta_c must satisfy 0 <= delta_c < c0"),
+    ):
+        with np.errstate(over="ignore"), pytest.raises(ConfigError) as err:  # c0 * delta_x overflows in the last
+            cli._sweep_config(scenario, axis, values, False)
+        assert (err.type, str(err.value)) == (ConfigError, message)
+    # an entry beyond t_piezo/100 breaks the expansion
+    with pytest.raises(ValidityError):
+        cli._sweep_config(sc, "delta_x", [1e-12, bound], False)
     with pytest.raises(ValidityError):
         delta_capacitance(sc.geometry, np.array([[1e-12], [bound]]), sc.c_plate)
-    with pytest.raises(ConfigError) as nan_entry:
-        delta_capacitance(sc.geometry, np.array([[1e-12], [math.nan]]), sc.c_plate)
-    assert nan_entry.type is ConfigError
 
 
 def _generated_scenario():

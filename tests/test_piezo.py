@@ -140,10 +140,8 @@ def test_delta_capacitance_zero_motion():
 def test_delta_capacitance_rejects_large_excursion():
     with pytest.raises(ValidityError):
         delta_capacitance(GEO, GEO.t_piezo / 100.0, C_PLATE)
-    # just inside the bound is accepted
+    # just inside the bound is accepted; a negative delta_x is refused by source_config (test_scatter.py)
     delta_capacitance(GEO, 0.99 * GEO.t_piezo / 100.0, C_PLATE)
-    with pytest.raises(ConfigError):
-        delta_capacitance(GEO, -1.0e-15, C_PLATE)
 
 
 def test_area_from_capacitance_roundtrip():
@@ -160,14 +158,10 @@ def test_material_validation():
         raw["material"][key] = value
         with pytest.raises(ConfigError):
             scenario_from_raw(raw)
-    with pytest.raises(ConfigError):
-        MaterialProps(3.08e11, 0.0, 5.1e-12)
 
 
 def test_geometry_and_drive_validation():
-    with pytest.raises(ConfigError):
-        FbarGeometry(t_piezo=3.5e-7, quality=0.5, omega_m=OMEGA_M)
-    with pytest.raises(ConfigError):
-        DriveParams(v_pp=-1.0e-4, omega_d=OMEGA_M)
-    with pytest.raises(ConfigError):
-        DriveParams(v_pp=1.0e-4)  # drive frequency must be supplied
+    # the types hold values; the bounds on quality, v_pp and omega_d are rows checked by the loader
+    # (test_scenario.py::OUT_OF_BOUNDS). The drive frequency must still be supplied: it has no default
+    with pytest.raises(TypeError):
+        DriveParams(v_pp=1.0e-4)

@@ -7,7 +7,6 @@ the oscillatory turn-on terms exactly.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from fbar_dce.scatter import (
     s_coefficient,
     source_spectrum,
 )
+from fbar_dce.scenario import load_scenario, source_config
 
 OMEGA_M = 2.0 * math.pi * 4.2e9
 DELTA_C = 9.772533550193697e-19  # capacitance modulation of the driven film
@@ -97,13 +97,13 @@ def test_s_coefficient_exactly_linear_in_modulation():
 
 
 def test_source_time_zero_voltage():
-    cfg = replace(CFG, drive=DriveParams(v_pp=0.0, omega_d=OMEGA_M))
+    cfg = CFG._replace(drive=DriveParams(v_pp=0.0, omega_d=OMEGA_M))
     t = np.linspace(0.0, cfg.window_time, 64)
     assert np.all(source_time(cfg, t) == 0.0)
 
 
 def test_source_time_static_capacitance_single_tone():
-    cfg = replace(CFG, cap=TimeVaryingCap(c0=0.4e-12, delta_c=0.0, omega_m=OMEGA_M))
+    cfg = CFG._replace(cap=TimeVaryingCap(c0=0.4e-12, delta_c=0.0, omega_m=OMEGA_M))
     t = np.linspace(0.0, 5.0 * TWO_PI / OMEGA_M, 41)
     expected = -CAP.c0 * DRIVE.v_pp * OMEGA_M * np.cos(OMEGA_M * t)
     # atol covers roundoff at the cosine zeros, 15 orders below the amplitude
@@ -122,7 +122,7 @@ def test_source_time_matches_step_differentiation():
 
 def test_source_time_step_differentiation_generic_point_and_detuned_drive():
     # a drive above the modulation frequency exercises the folded difference tone
-    cfg = replace(CFG, drive=DriveParams(v_pp=5.0e-4, phase=0.3, omega_d=1.5 * OMEGA_M))
+    cfg = CFG._replace(drive=DriveParams(v_pp=5.0e-4, phase=0.3, omega_d=1.5 * OMEGA_M))
     step = 1e-20
     for t0 in (0.37 * TWO_PI / OMEGA_M, 1.91 * TWO_PI / OMEGA_M):
         numeric = np.imag(_product_cv(cfg, t0 + 1j * step)) / step
@@ -151,7 +151,7 @@ def test_windowed_transform_against_fft_oracle_static_capacitance():
 
 
 def test_windowed_transform_against_fft_oracle_full_modulation():
-    cfg = replace(CFG, window_time=4.7e-8)
+    cfg = CFG._replace(window_time=4.7e-8)
     omegas, oracle = _fft_transform_oracle(cfg, 2**20)
     for k in (57, 105, 120):
         closed = windowed_source_transform(cfg, omegas[k])
@@ -166,7 +166,7 @@ def test_steady_part_is_window_average_of_turn_on_transform():
         span = TWO_PI / (frac * OMEGA_M)
         windows = 1.0e-6 + np.arange(256) / 256.0 * span
         samples = [
-            windowed_source_transform(replace(CFG, window_time=t), omega) for t in windows
+            windowed_source_transform(CFG._replace(window_time=t), omega) for t in windows
         ]
         steady = source_spectrum(CFG, omega)
         assert abs(np.mean(samples) - steady) <= rtol * abs(steady)
@@ -175,19 +175,19 @@ def test_steady_part_is_window_average_of_turn_on_transform():
 def test_steady_part_window_independent():
     omega = 0.37 * OMEGA_M
     a = source_spectrum(CFG, omega)
-    b = source_spectrum(replace(CFG, window_time=2.0e-6), omega)
+    b = source_spectrum(CFG._replace(window_time=2.0e-6), omega)
     assert a == b
 
 
 def test_source_spectrum_scales_linearly_with_voltage():
     omega = 0.42 * OMEGA_M
-    doubled = replace(CFG, drive=DriveParams(v_pp=1.0e-3, omega_d=OMEGA_M))
+    doubled = CFG._replace(drive=DriveParams(v_pp=1.0e-3, omega_d=OMEGA_M))
     ratio = source_spectrum(doubled, omega) / source_spectrum(CFG, omega)
     assert ratio == pytest.approx(2.0, rel=1e-12)
 
 
 def test_source_spectrum_zero_voltage_even_on_line():
-    cfg = replace(CFG, drive=DriveParams(v_pp=0.0, omega_d=OMEGA_M))
+    cfg = CFG._replace(drive=DriveParams(v_pp=0.0, omega_d=OMEGA_M))
     assert source_spectrum(cfg, OMEGA_M) == 0.0
 
 
@@ -211,7 +211,7 @@ def test_line_weights_tones_and_window_linearity():
     # on a coherent line the windowed transform grows linearly with T, with
     # slope |weight|/pi
     for t_window in (1.0e-6, 2.0e-6):
-        on_line = abs(windowed_source_transform(replace(CFG, window_time=t_window), OMEGA_M))
+        on_line = abs(windowed_source_transform(CFG._replace(window_time=t_window), OMEGA_M))
         assert on_line == pytest.approx(abs(weights[OMEGA_M]) * t_window / math.pi, rel=1e-6)
 
 
@@ -232,12 +232,22 @@ def test_h_coefficient_frequency_factorization():
 
 
 def test_source_config_window_floor():
-    with pytest.raises(ConfigError):
-        SourceConfig(drive=DRIVE, cap=CAP, window_time=50.0 * TWO_PI / OMEGA_M)
+    # the window's row of scenario._BOUNDS is checked where a configuration is made, as the loader's is
+    sc = load_scenario("low-q")
+    with pytest.raises(ConfigError) as err:
+        source_config(sc._replace(window_time=50.0 * TWO_PI / OMEGA_M))
+    assert str(err.value) == f"window_time must exceed 100 modulation periods = {100.0 * TWO_PI / OMEGA_M:.3e} s"
 
 
 def test_cap_validation():
-    with pytest.raises(ConfigError):
-        TimeVaryingCap(c0=0.4e-12, delta_c=0.5e-12, omega_m=OMEGA_M)
-    with pytest.raises(ConfigError):
-        TimeVaryingCap(c0=0.4e-12, delta_c=-1e-19, omega_m=OMEGA_M)
+    # the modulation is built from a checked mirror amplitude: a negative one is refused before the expansion's
+    # validity bound, and c0 * delta_x / t_piezo, below c0 for any delta_x < t_piezo/100, is refused when it overflows
+    sc = load_scenario("low-q")
+    with pytest.raises(ConfigError) as err:
+        source_config(sc, delta_x=-1e-19)
+    assert str(err.value) == "delta_x must be non-negative"
+    wide = sc._replace(c_plate=1e308, geometry=sc.geometry._replace(t_piezo=1e10))
+    assert source_config(wide, delta_x=1e-3).cap.delta_c == 1e308 * 1e-3 / 1e10
+    with pytest.raises(ConfigError) as err:
+        source_config(wide, delta_x=1e7)
+    assert str(err.value) == "cap.delta_c must satisfy 0 <= delta_c < c0"

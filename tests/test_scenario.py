@@ -185,7 +185,8 @@ def test_window_time_floor_enforced():
 BELOW_ZERO = math.nextafter(0.0, -1.0)
 
 
-# each bound on a number no class holds, one step outside its range, with the message of the class check it replaced
+# each row of scenario._BOUNDS that the loader checks, one step outside its range, with its message: the message
+# of the class check that the row replaced
 OUT_OF_BOUNDS = [
     ("material", "poisson_ratio", 0.0, "material.poisson must be strictly positive"),
     ("material", "poisson_ratio", 0.5, "material.poisson must lie in (0, 0.5)"),
@@ -204,6 +205,19 @@ OUT_OF_BOUNDS = [
     ("mbvd", "r_m_ohm", BELOW_ZERO, "mbvd.r_m must be non-negative"),
     ("mbvd", "r_0_ohm", BELOW_ZERO, "mbvd.r_0 must be non-negative"),
     ("mbvd", "r_s_ohm", BELOW_ZERO, "mbvd.r_s must be non-negative"),
+    ("material", "youngs_modulus_pa", 0.0, "material.youngs_modulus must be strictly positive"),
+    ("material", "density_kg_m3", 0.0, "material.density must be strictly positive"),
+    ("material", "d33_m_per_v", 0.0, "material.d33 must be strictly positive"),
+    ("geometry", "t_piezo_m", 0.0, "geometry.t_piezo must be strictly positive"),
+    ("geometry", "omega_m_hz", 0.0, "geometry.omega_m must be strictly positive"),
+    ("geometry", "quality", math.nextafter(1.0, 0.0), "geometry.quality must be >= 1"),
+    ("drive", "omega_d_hz", 0.0, "drive.omega_d must be strictly positive"),
+    ("drive", "v_pp_volts", BELOW_ZERO, "drive.v_pp must be non-negative"),
+    ("line", "z0_ohm", 0.0, "line.z0 must be strictly positive"),
+    ("line", "v_light_m_s", 0.0, "line.v_light must be strictly positive"),
+    ("cavity", "length_d_m", 0.0, "cavity.length_d must be strictly positive"),
+    ("cavity", "omega_coupling_hz", 0.0, "cavity.omega_coupling must be strictly positive"),
+    ("environment", "temperature_k", BELOW_ZERO, "environment.temperature must be non-negative"),
 ]
 
 
@@ -213,6 +227,8 @@ OUT_OF_BOUNDS = [
 def test_number_outside_its_bound_rejected(section, key, value, message):
     raw = preset_raw("low-q")
     raw[section][key] = value
+    if section == "line":  # the cavity section's copy must equal it
+        raw["cavity"][key] = value
     with pytest.raises(ConfigError) as err:
         scenario_from_raw(raw)
     assert str(err.value) == message

@@ -9,6 +9,7 @@ once with this package at the standard operating point (4.2 GHz modulation,
 0.4 pF plates, 350 nm gap, 0.855 pm deflection).
 """
 
+import json
 import math
 
 import numpy as np
@@ -16,9 +17,10 @@ import pytest
 from paper_checks import inverse_capacitance_series
 from scipy.linalg import eigh
 
+from fbar_dce import cli
 from fbar_dce.constants import TWO_PI
 from fbar_dce.errors import ConfigError, RwaViolationError, ValidityError
-from fbar_dce.scenario import load_scenario, squeeze_params
+from fbar_dce.scenario import load_scenario, preset_raw, scenario_from_raw, squeeze_params
 from fbar_dce.squeeze import (
     LcParams,
     _observe,
@@ -280,31 +282,19 @@ def test_evolve_validation():
     assert res.mean_photons > 0.0
 
 
-def test_lc_params_validation():
+def test_lc_params_validation(tmp_path, capsys):
+    # LcParams holds values. squeeze_params checks the inductance's row of scenario._BOUNDS; the loader's rows bound
+    # c_plate, t_piezo and omega_m, and delta_x passed the t_piezo/100 bound in source_config, with gap = t_piezo
+    raw = preset_raw("low-q")
+    raw["drive"]["v_pp_volts"] = 10.0
     with pytest.raises(ValidityError):
-        LcParams(
-            inductance=PARAMS.inductance,
-            cap_cavity=0.4e-12,
-            cap_mirror=0.4e-12,
-            gap=3.5e-7,
-            delta_x=3.5e-9,
-            omega_m=OMEGA_M,
-        )
-    with pytest.raises(ConfigError):
-        LcParams(
-            inductance=PARAMS.inductance,
-            cap_cavity=0.4e-12,
-            cap_mirror=0.4e-12,
-            gap=3.5e-7,
-            delta_x=-1e-15,
-            omega_m=OMEGA_M,
-        )
-    with pytest.raises(ConfigError):
-        LcParams(
-            inductance=0.0,
-            cap_cavity=0.4e-12,
-            cap_mirror=0.4e-12,
-            gap=3.5e-7,
-            delta_x=0.0,
-            omega_m=OMEGA_M,
-        )
+        scenario_from_raw(raw)
+    # 1/(omega_lc**2 * C_T) underflows to 0 when the product overflows: exit 2, not a division by zero
+    for section, values in (("geometry", {"omega_m_hz": 1e308}), ("mbvd", {"c_plate_farad": 1e300})):
+        raw = preset_raw("low-q")
+        raw[section].update(values)
+        raw["drive"]["omega_d_hz"] = raw["geometry"]["omega_m_hz"]
+        path = tmp_path / f"{section}.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["squeeze", "--scenario", str(path), "--out", str(tmp_path / "sq.csv")]) == 2
+        assert capsys.readouterr().err == "configuration error: lc.inductance must be strictly positive\n"

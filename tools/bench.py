@@ -13,8 +13,14 @@ and each side's host and source record (`nproc`, Python, numpy, scipy and
 BLAS versions, lines of `src/`) as the first run in that tree wrote it to
 `perfbench/out/run-W-seedN-trace0.json`. Both trees run on this interpreter,
 so the host fields they share are recorded once: numpy's SIMD features found,
-and the core the OpenBLAS bundled with numpy chose (`null` where that library
-or its query is missing).
+the core the OpenBLAS bundled with numpy chose (`null` where that library or
+its query is missing), and whether PYTHONDONTWRITEBYTECODE is set, which every
+command inherits (with it set, each command compiles the modules it imports).
+
+Before the pairs, `startup` splits a command's start-up in STARTUP_RUNS fresh
+interpreters a side, alternating as the pairs do: `import numpy`, then
+`import fbar_dce.cli`, `cli._build_parser()` and one preset load, each timed
+with perf_counter in the interpreter and summarized as the pairs' metrics are.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -30,6 +37,22 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+STARTUP_RUNS = 12
+# one fresh interpreter's start-up: the seconds each stage of STARTUP_STAGES took, as one JSON line
+STARTUP_PROBE = """
+import json, time
+marks = [time.perf_counter()]
+import numpy
+marks.append(time.perf_counter())
+from fbar_dce import cli
+marks.append(time.perf_counter())
+cli._build_parser()
+marks.append(time.perf_counter())
+cli.load_scenario("low-q")
+marks.append(time.perf_counter())
+print(json.dumps([b - a for a, b in zip(marks, marks[1:])]))
+"""
+STARTUP_STAGES = ("import_numpy_s", "import_cli_s", "build_parser_s", "load_preset_s")
 
 
 def _git(*args: str) -> str:
@@ -60,7 +83,11 @@ def host() -> dict:
         corename.argtypes, corename.restype = [], ctypes.c_char_p
         core = corename().decode()
         break
-    return {"numpy_simd": [name for name, found in __cpu_features__.items() if found], "openblas_core": core}
+    return {
+        "numpy_simd": [name for name, found in __cpu_features__.items() if found],
+        "openblas_core": core,
+        "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+    }
 
 
 def run_perfbench(tree: Path, workload: str, seed: int) -> dict:
@@ -69,6 +96,18 @@ def run_perfbench(tree: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     run = json.loads((tree / "perfbench" / "out" / f"run-{workload}-seed{seed}-trace0.json").read_text())
     return json.loads(proc.stdout.strip().splitlines()[-1]) | {"record": run["record"]}
+
+
+def probe_startup(tree: Path) -> dict:
+    """One fresh interpreter's start-up stages in `tree`, as a run result: {"metrics": {stage: {value, unit}}}.
+
+    numpy is imported first, so OPENBLAS_NUM_THREADS is set to 1 where it is unset, as the package sets it.
+    """
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env, capture_output=True, text=True, check=True)
+    seconds = json.loads(proc.stdout)
+    return {"metrics": {stage: {"value": value, "unit": "s"} for stage, value in zip(STARTUP_STAGES, seconds)}}
 
 
 def run_pairs(trees: dict, pairs: int, run) -> dict:
@@ -85,9 +124,8 @@ def _summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
 
 
-def record(results: dict, better: dict) -> dict:
-    """Each side's host and source record; per metric of the runs, unit, direction, each side's summary, and the
-    pairs "head" won over "against"; each run's correctness and failures."""
+def summarize(results: dict, better: dict) -> dict:
+    """Per metric of the runs: unit, direction, each side's summary, and the pairs "head" won over "against"."""
     metrics = {}
     for name, first in results["head"][0]["metrics"].items():
         sides = {side: [run["metrics"][name]["value"] for run in runs] for side, runs in results.items()}
@@ -99,15 +137,21 @@ def record(results: dict, better: dict) -> dict:
             **{side: _summary(values) for side, values in sides.items()},
             "head_wins": wins,
         }
+    return metrics
+
+
+def record(results: dict, better: dict) -> dict:
+    """Each side's host and source record, the metrics of the runs (`summarize`), each run's correctness and
+    failures."""
     checks = {
         side: {key: [run[key] for run in runs] for key in ("correct", "failed")} for side, runs in results.items()
     }
     records = {side: runs[0]["record"] for side, runs in results.items()}
-    return {"record": records, "metrics": metrics, "checks": checks}
+    return {"record": records, "metrics": summarize(results, better), "checks": checks}
 
 
-def build(args, run=run_perfbench) -> dict:
-    """The BENCH record of `args`' pairs, each run being run(tree, workload, seed)."""
+def build(args, run=run_perfbench, probe=probe_startup) -> dict:
+    """The BENCH record of `args`' pairs, each run being run(tree, workload, seed), and of the start-up probes."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     doc = {  # the checkout as it is when the runs start
@@ -121,8 +165,9 @@ def build(args, run=run_perfbench) -> dict:
     }
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"against": export(args.against, Path(tmp)), "head": ROOT}
+        startup = summarize(run_pairs(trees, STARTUP_RUNS, probe), better)
         results = run_pairs(trees, args.pairs, lambda tree: run(tree, args.workload, args.seed))
-    return doc | record(results, better)
+    return doc | record(results, better) | {"startup": startup}
 
 
 def main(argv=None) -> int:
@@ -136,9 +181,10 @@ def main(argv=None) -> int:
     doc = build(args)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
-    for name, m in doc["metrics"].items():
-        print(f"{name:14s} against {m['against']['median']:.4g} head {m['head']['median']:.4g} "
-              f"head wins {m['head_wins']}/{args.pairs}")
+    for runs, metrics in ((args.pairs, doc["metrics"]), (STARTUP_RUNS, doc["startup"])):
+        for name, m in metrics.items():
+            print(f"{name:14s} against {m['against']['median']:.4g} head {m['head']['median']:.4g} "
+                  f"head wins {m['head_wins']}/{runs}")
     print(f"wrote {out}")
     return 0
 

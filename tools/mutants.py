@@ -221,12 +221,26 @@ MUTANTS = {
         "            pass\n",
         ("tests/test_cli.py::test_override_replaces_invalid_file_value",),
     ),
-    # the loader keeps the bounds of the numbers no class holds, r_m >= 0 among them
+    # the loader keeps the bounds of the numbers no command reads, r_m >= 0 among them
     "loader-drops-r_m-bound": Mutant(
         "scenario.py",
-        '    ("mbvd", "r_m_ohm", "r_m", _NON_NEGATIVE),\n',
+        '    ("mbvd", "r_m_ohm", "mbvd.r_m", _NON_NEGATIVE),\n',
         "",
         ("tests/test_scenario.py::test_number_outside_its_bound_rejected",),
+    ),
+    # a swept quality lane below 1 is refused by its row of the bounds table, so its sweep row is a ConfigError
+    "drop-quality-row": Mutant(
+        "scenario.py",
+        '    ("geometry", "quality", "geometry.quality", (operator.ge, 1.0, "must be >= 1")),\n',
+        "",
+        ("tests/test_cli.py::test_sweep_quality_below_one_is_a_configuration_row",),
+    ),
+    # a field that some command reads: the guard sees every field lookup on the value types, this one read once
+    "unread-youngs-modulus": Mutant(
+        "piezo.py",
+        "(mat.youngs_modulus / (mat.density * geo.t_piezo))",
+        "(3.08e11 / (mat.density * geo.t_piezo))",
+        ("tests/test_cli.py::test_every_schema_field_is_read_by_some_command",),
     ),
     # round-off below zero in n_mech_only is clipped to +0.0
     "drop-mech-only-clip": Mutant(
