@@ -28,7 +28,7 @@ from fbar_dce.flux import (
     output_spectrum,
     thermal_occupation,
 )
-from fbar_dce.piezo import DriveParams, FbarGeometry, delta_capacitance
+from fbar_dce.piezo import DriveParams, delta_capacitance
 from fbar_dce.scatter import LineParams, SourceConfig, TimeVaryingCap, guard_band, source_spectrum
 from fbar_dce.scenario import PRESET_NAMES, grid_array, preset_raw, scenario_from_raw, source_config
 
